@@ -87,8 +87,6 @@ from .monomials import (
 )
 from .posets import (
     CompositeRelation,
-    OrderIdeal,
-    Poset,
     Relation,
     RelationFamily,
     close_relation,

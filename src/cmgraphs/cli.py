@@ -39,38 +39,19 @@ from .monomials import parse_monomial
 from .posets import (
     family_from_dict,
     format_ideal,
+    load_family,
     members,
     order_ideals,
+    read_json,
 )
 from .verification import DEFAULT_SEED, format_results, format_timings, run_all
 
 
-def _read_json(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        from .errors import ParseError
-
-        raise ParseError(f"{path} is not valid JSON: {exc}") from None
-
-
-def _load_family(path):
-    return family_from_dict(_read_json(path))
-
-
-def _load_graph_any(path):
-    """Accept either a relation-family file or a graph file."""
-    doc = _read_json(path)
+def _graph_from_doc(doc):
+    """The graph of a graph document, or of a relation-family document."""
     if isinstance(doc, dict) and "edges" in doc:
         return graph_from_dict(doc)
-    if isinstance(doc, dict) and "relations" in doc or "r" in doc and "n" in doc:
-        return graph_of_family(family_from_dict(doc))
-    from .errors import ParseError
-
-    raise ParseError(f"{path} is neither a family file nor a graph file")
+    return graph_of_family(family_from_dict(doc))
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -82,7 +63,7 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 
 def cmd_ideals(args) -> int:
-    fam = _load_family(args.family)
+    fam = load_family(args.family)
     levels = []
     lines = []
     for a in range(1, fam.r):
@@ -100,7 +81,7 @@ def _ordered_generators(fam):
 
 
 def cmd_hr_build(args) -> int:
-    fam = _load_family(args.family)
+    fam = load_family(args.family)
     order, gens = _ordered_generators(fam)
     lines = [f"{len(order.chains)} chains, generators in chain order:"]
     lines.extend(f"  {g}" for g in gens)
@@ -118,7 +99,7 @@ def cmd_hr_build(args) -> int:
 
 
 def cmd_hr_check_lq(args) -> int:
-    fam = _load_family(args.family)
+    fam = load_family(args.family)
     _, gens = _ordered_generators(fam)
     verdict = check_linear_quotients(gens)
     payload = {
@@ -143,7 +124,7 @@ def cmd_hr_check_lq(args) -> int:
 
 
 def cmd_hr_gamma(args) -> int:
-    fam = _load_family(args.family)
+    fam = load_family(args.family)
     variables = parse_monomial(args.variables, fam.r, fam.n).variables()
     chain = gamma_chain(fam, variables)
     mono = chain_monomial(fam, chain)
@@ -165,7 +146,7 @@ def cmd_hr_gamma(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    fam = _load_family(args.family)
+    fam = load_family(args.family)
     fast = dual_hr_fast(fam)
     lines = [f"{len(fast.gens)} dual generators:"]
     lines.extend(f"  {g}" for g in fast.gens)
@@ -197,7 +178,7 @@ def cmd_dual(args) -> int:
 
 
 def cmd_graph_build(args) -> int:
-    graph = _load_graph_any(args.path)
+    graph = _graph_from_doc(read_json(args.path))
     if args.format == "dot":
         print(graph_to_dot(graph), end="")
         return 0
@@ -223,7 +204,7 @@ def _report_payload(report) -> dict:
 
 
 def cmd_graph_check(args) -> int:
-    graph = _load_graph_any(args.path)
+    graph = _graph_from_doc(read_json(args.path))
     if args.which == "thm1":
         report = check_theorem1(graph)
     elif args.which == "thm2":
@@ -250,7 +231,7 @@ def cmd_graph_check(args) -> int:
 
 
 def cmd_graph_cm(args) -> int:
-    graph = _load_graph_any(args.path)
+    graph = _graph_from_doc(read_json(args.path))
     field = parse_field(args.field)
     cx = independence_complex(graph)
     cert = is_cohen_macaulay(cx, field, face_budget=args.budget_faces)

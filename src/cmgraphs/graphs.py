@@ -8,7 +8,6 @@ tests assert witness content, not just booleans.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import comb
 
@@ -22,7 +21,7 @@ from .errors import (
     RangeError,
 )
 from .monomials import Monomial, MonomialIdeal, sort_gens
-from .posets import RelationFamily, composite_relation
+from .posets import RelationFamily, composite_relation, read_json
 
 Vertex = tuple  # (level, index), 1-based
 Edge = tuple  # ((a,i),(b,j)) with (a,i) < (b,j) and a != b
@@ -541,14 +540,7 @@ def graph_to_dict(graph: MultipartiteGraph) -> dict:
 
 
 def load_graph(path) -> MultipartiteGraph:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read graph file {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"graph file {path} is not valid JSON: {exc}") from None
-    return graph_from_dict(doc)
+    return graph_from_dict(read_json(path))
 
 
 def graph_to_dot(graph: MultipartiteGraph) -> str:

@@ -18,13 +18,11 @@ from itertools import combinations
 from .errors import (
     ChainError,
     IndexOrderError,
+    InputError,
     LevelError,
     ParseError,
     RangeError,
 )
-
-OrderIdeal = int  # bitmask over [n]
-IdealChain = tuple  # (I_1, ..., I_{r-1}) as bitmasks, nested descending
 
 
 def mask_of(members) -> int:
@@ -126,11 +124,6 @@ class Relation:
             and self.transitivity_witness() is None
         )
 
-    def contains(self, other: Relation) -> bool:
-        return self.n == other.n and all(
-            other.rows[i] & ~self.rows[i] == 0 for i in range(self.n)
-        )
-
     @classmethod
     def from_raw_pairs(cls, n: int, pairs) -> Relation:
         """Reflexive relation with exactly the given extra pairs; no closure.
@@ -155,9 +148,6 @@ def _check_n(n: int) -> None:
 def _check_index(i, n: int) -> None:
     if not isinstance(i, int) or not 1 <= i <= n:
         raise RangeError(f"element index {i!r} out of range 1..{n}")
-
-
-Poset = Relation  # instances from close_relation satisfy all four poset laws
 
 
 def identity_relation(n: int) -> Relation:
@@ -198,18 +188,19 @@ def close_relation(n: int, pairs) -> Relation:
     return rel
 
 
+def _union_of_rows(rows, mask: int) -> int:
+    """OR of rows[j] over the set bits j of the mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out |= rows[low.bit_length() - 1]
+    return out
+
+
 def is_order_ideal(rel: Relation, mask: int) -> bool:
     """Whether the bitmask is downward closed in the relation."""
-    down = rel.down_masks()
-    closure = 0
-    m = mask
-    j = 0
-    while m:
-        if m & 1:
-            closure |= down[j]
-        m >>= 1
-        j += 1
-    return closure | mask == mask
+    return _union_of_rows(rel.down_masks(), mask) & ~mask == 0
 
 
 def order_ideals(rel: Relation) -> list[int]:
@@ -218,34 +209,14 @@ def order_ideals(rel: Relation) -> list[int]:
     Always includes the empty set and the full ground set.
     """
     down = rel.down_masks()
-    out = []
-    for mask in range(1 << rel.n):
-        closure = 0
-        m = mask
-        j = 0
-        while m:
-            if m & 1:
-                closure |= down[j]
-            m >>= 1
-            j += 1
-        if closure | mask == mask:
-            out.append(mask)
+    out = [m for m in range(1 << rel.n) if _union_of_rows(down, m) & ~m == 0]
     out.sort(key=lambda s: (s.bit_count(), s))
     return out
 
 
 def ideal_closure(rel: Relation, generators_mask: int) -> int:
     """Smallest order ideal of the relation containing the given elements."""
-    down = rel.down_masks()
-    closure = 0
-    m = generators_mask
-    j = 0
-    while m:
-        if m & 1:
-            closure |= down[j]
-        m >>= 1
-        j += 1
-    return closure | generators_mask
+    return _union_of_rows(rel.down_masks(), generators_mask) | generators_mask
 
 
 @dataclass(frozen=True)
@@ -322,20 +293,8 @@ def composite_relation(family: RelationFamily, a: int, b: int) -> CompositeRelat
     n = family.n
     for lvl in range(a + 1, b + 1):
         nxt = family.level(lvl).rows
-        rows = [_compose_row(rows[i], nxt, n) for i in range(n)]
+        rows = [_union_of_rows(nxt, row) for row in rows]
     return CompositeRelation(a, b, Relation(n, tuple(rows)))
-
-
-def _compose_row(row: int, nxt_rows, n: int) -> int:
-    out = 0
-    j = 0
-    m = row
-    while m:
-        if m & 1:
-            out |= nxt_rows[j]
-        m >>= 1
-        j += 1
-    return out
 
 
 def validate_chain(family: RelationFamily, chain) -> tuple[int, ...]:
@@ -410,15 +369,19 @@ def family_to_dict(family: RelationFamily) -> dict:
     }
 
 
-def load_family(path) -> RelationFamily:
+def read_json(path):
+    """The JSON document in a file; unreadable files and bad JSON are input errors."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ParseError(f"cannot read family file {path}: {exc}") from None
+        raise InputError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise ParseError(f"family file {path} is not valid JSON: {exc}") from None
-    return family_from_dict(doc)
+        raise ParseError(f"{path} is not valid JSON: {exc}") from None
+
+
+def load_family(path) -> RelationFamily:
+    return family_from_dict(read_json(path))
 
 
 def ideals_lattice_closed(ideals) -> bool:

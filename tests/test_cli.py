@@ -59,6 +59,33 @@ def test_malformed_file_exits_2(capsys, tmp_path):
     assert "E_PARSE" in err
 
 
+@pytest.mark.parametrize("payload", [5, [], "x"], ids=["int", "list", "str"])
+@pytest.mark.parametrize(
+    "verb",
+    [
+        ("ideals",),
+        ("hr", "build"),
+        ("hr", "check-lq"),
+        ("hr", "gamma", "{path}", "X[1,1]"),
+        ("dual",),
+        ("graph", "build"),
+        ("graph", "check", "{path}", "--which", "thm1"),
+        ("graph", "cm"),
+        ("cm", "check"),
+    ],
+    ids=lambda verb: "-".join(verb[:2]).replace("-{path}", ""),
+)
+def test_non_object_document_exits_2(capsys, write_json, verb, payload):
+    path = write_json(payload)
+    argv = [path if a == "{path}" else a for a in verb]
+    if "{path}" not in verb:
+        argv.append(path)
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert "E_PARSE" in err
+    assert out == ""
+
+
 def test_hr_build_is_deterministic(capsys, sample_path):
     rc1, out1, _ = run(capsys, "hr", "build", sample_path)
     rc2, out2, _ = run(capsys, "hr", "build", sample_path)

@@ -6,6 +6,7 @@ cross-field plumbing end to end.
 """
 
 import random
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from cmgraphs import (
     reduced_homology,
 )
 from cmgraphs.graphs import cycle_graph
-from cmgraphs.homology import _rank_rational
+from cmgraphs.homology import _rank_sparse
 from cmgraphs.verification import random_squarefree_ideal
 
 
@@ -140,9 +141,9 @@ def test_rational_betti_numbers_bound_the_modular_ones():
 def test_rational_rank_of_integer_rows():
     # reduced boundary rows almost never leave +-1, so drive the gcd scaling
     # with general integer rows
-    assert _rank_rational([[(0, 2), (1, 3)], [(0, 4), (1, 6)]]) == 1
-    assert _rank_rational([[(0, 2), (1, 3)], [(0, 3), (1, 5)]]) == 2
-    assert _rank_rational([[(0, 6), (2, 4)], [(1, 9), (2, 6)], [(0, 9), (1, -6), (2, 2)]]) == 2
+    assert _rank_sparse([[(0, 2), (1, 3)], [(0, 4), (1, 6)]], 0) == 1
+    assert _rank_sparse([[(0, 2), (1, 3)], [(0, 3), (1, 5)]], 0) == 2
+    assert _rank_sparse([[(0, 6), (2, 4)], [(1, 9), (2, 6)], [(0, 9), (1, -6), (2, 2)]], 0) == 2
     rng = random.Random(5)
     for _ in range(200):
         rows, cols = rng.randint(1, 7), rng.randint(1, 7)
@@ -150,7 +151,42 @@ def test_rational_rank_of_integer_rows():
         if rng.random() < 0.5:  # force a dependent row
             dense.append([2 * x - 3 * y for x, y in zip(dense[0], dense[-1])])
         sparse = [[(c, v) for c, v in enumerate(row) if v] for row in dense]
-        assert _rank_rational(sparse) == np.linalg.matrix_rank(np.array(dense)), dense
+        assert _rank_sparse(sparse, 0) == np.linalg.matrix_rank(np.array(dense)), dense
+
+
+def _leibniz_det(square) -> int:
+    total = 0
+    for perm in permutations(range(len(square))):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(len(perm)), 2))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= square[i][j]
+        total += term
+    return total
+
+
+def _minor_rank(dense, p: int) -> int:
+    """Largest k with a k x k minor whose determinant is nonzero mod p."""
+    for k in range(min(len(dense), len(dense[0])), 0, -1):
+        for rows in combinations(dense, k):
+            for cols in combinations(range(len(dense[0])), k):
+                if _leibniz_det([[row[c] for c in cols] for row in rows]) % p:
+                    return k
+    return 0
+
+
+def test_modular_rank_of_integer_rows():
+    rows = [[(0, 1), (1, 2)], [(0, 2), (1, 1)]]  # determinant -3
+    assert _rank_sparse(rows, 3) == 1
+    assert _rank_sparse(rows, 5) == 2
+    assert _rank_sparse(rows, 0) == 2
+    rng = random.Random(7)
+    for _ in range(150):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        dense = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+        sparse = [[(c, v) for c, v in enumerate(row) if v] for row in dense]
+        for p in (2, 3, 5, 7):
+            assert _rank_sparse(sparse, p) == _minor_rank(dense, p), (p, dense)
 
 
 def test_face_budget_is_enforced():
