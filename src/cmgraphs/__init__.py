@@ -91,6 +91,7 @@ from .posets import (
     RelationFamily,
     close_relation,
     composite_relation,
+    composite_rows,
     identity_relation,
     is_order_ideal,
     load_family,

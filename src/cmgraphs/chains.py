@@ -8,6 +8,13 @@ The partial order on chains is componentwise inclusion.  Conventions
 I_0 = full ground set and I_r = ∅ are used throughout, so for every element
 p_i there is exactly one level a with p_i in I_{a-1} but not I_a, and the
 variable X[a,i] is exactly the one missing from the chain monomial.
+
+Packed into one int P with I_a at bits (a-1)n..an-1, a chain gives its
+monomial as P | ((~P & ((1 << (r-1)n) - 1)) << n), and componentwise
+inclusion of two chains is the single test P_j & ~P_k == 0.  The canonical
+order (total cardinality, then the mask tuple) is a linear extension of
+inclusion without any pairwise comparison, because total cardinality
+strictly increases along strict inclusion.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from .errors import (
 from .monomials import Monomial, MonomialIdeal, sort_gens
 from .posets import (
     RelationFamily,
-    composite_relation,
+    composite_rows,
     ideal_closure,
     order_ideals,
     validate_chain,
@@ -65,6 +72,14 @@ def enumerate_chains(family: RelationFamily) -> list[tuple[int, ...]]:
     return chains
 
 
+def _pack(chain, width: int) -> int:
+    """The chain as one int, component a (0-based) at bits a*width."""
+    packed = 0
+    for a, ideal in enumerate(chain):
+        packed |= ideal << (a * width)
+    return packed
+
+
 def chain_monomial(family: RelationFamily, chain) -> Monomial:
     """The degree-n(r-1) squarefree monomial of a nested ideal chain.
 
@@ -73,14 +88,8 @@ def chain_monomial(family: RelationFamily, chain) -> Monomial:
     """
     chain = validate_chain(family, chain)
     n, r = family.n, family.r
-    mask = 0
-    for a, ideal in enumerate(chain, start=1):
-        for i in range(n):
-            if ideal >> i & 1:
-                mask |= 1 << ((a - 1) * n + i)
-            else:
-                mask |= 1 << (a * n + i)
-    mono = Monomial(r, n, mask)
+    packed = _pack(chain, n)
+    mono = Monomial(r, n, packed | ((~packed & ((1 << (r - 1) * n) - 1)) << n))
     if mono.degree() != n * (r - 1):
         raise ChainError(
             f"chain monomial degree {mono.degree()} != n(r-1) = {n * (r - 1)}"
@@ -121,68 +130,54 @@ def chain_compare(chain_j, chain_i) -> str:
 
 @dataclass(frozen=True)
 class ChainOrder:
-    """A total order on a chain set extending componentwise inclusion.
-
-    chains holds the chosen order; below[k] is the bitmask of positions
-    holding chains strictly below chains[k] componentwise.
-    """
+    """A total order on a chain set extending componentwise inclusion."""
 
     chains: tuple[tuple[int, ...], ...]
-    below: tuple[int, ...]
-
-    def is_linear_extension(self) -> bool:
-        # all strict predecessors of position k must sit at positions < k
-        return all(self.below[k] >> k == 0 for k in range(len(self.chains)))
-
-
-def _below_masks(chains) -> tuple[int, ...]:
-    m = len(chains)
-    below = [0] * m
-    for k in range(m):
-        for j in range(m):
-            if j != k and chain_compare(chains[j], chains[k]) == "less":
-                below[k] |= 1 << j
-    return tuple(below)
 
 
 def linear_extension(chains) -> ChainOrder:
     """Canonical total order: total cardinality, then bitmask-tuple lex.
 
     Total cardinality strictly increases along componentwise strict
-    inclusion, so this sort is always a linear extension.
+    inclusion, so this sort is always a linear extension.  The assertion
+    checks the sort in one pass: the chains are pairwise distinct and their
+    total cardinality never decreases, so no chain lies below an earlier one.
     """
     ordered = tuple(sorted(chains, key=_chain_sort_key))
-    order = ChainOrder(ordered, _below_masks(ordered))
-    assert order.is_linear_extension()
-    return order
+    keys = [_chain_sort_key(c) for c in ordered]
+    assert all(x < y for x, y in zip(keys, keys[1:]))
+    return ChainOrder(ordered)
 
 
-def random_linear_extension(chains, rng: random.Random, below=None) -> ChainOrder:
+def random_linear_extension(chains, rng: random.Random) -> ChainOrder:
     """A seeded random linear extension (random topological sort, not uniform).
 
     Incremental Kahn: track how many strict predecessors of each chain are
-    unplaced and keep a pool of ready chains, picking randomly.  Pass the
-    precomputed below masks when calling repeatedly on the same chain list.
+    unplaced and keep a pool of ready chains, picking randomly.  The
+    predecessors come from the chains packed into one int each, one &~ test
+    per pair.
     """
     chains = list(chains)
     m = len(chains)
-    if below is None:
-        below = _below_masks(chains)
+    width = max((ideal.bit_length() for c in chains for ideal in c), default=0)
+    packed = [_pack(c, width) for c in chains]
+    below = [0] * m  # below[k] = bitmask of positions j with chains[j] < chains[k]
     succs: list[list[int]] = [[] for _ in range(m)]
-    counts = [0] * m
-    for k in range(m):
-        s = below[k]
-        counts[k] = s.bit_count()
-        while s:
-            j = (s & -s).bit_length() - 1
-            s &= s - 1
-            succs[j].append(k)
+    for k, pk in enumerate(packed):
+        for j, pj in enumerate(packed):
+            if pj & ~pk == 0 and pj != pk:
+                below[k] |= 1 << j
+                succs[j].append(k)
+    counts = [b.bit_count() for b in below]
     ready = [k for k in range(m) if counts[k] == 0]
     order: list[int] = []
+    placed = 0
     while ready:
         pos = rng.randrange(len(ready))
         ready[pos], ready[-1] = ready[-1], ready[pos]
         pick = ready.pop()
+        assert below[pick] & ~placed == 0
+        placed |= 1 << pick
         order.append(pick)
         for k in succs[pick]:
             counts[k] -= 1
@@ -190,22 +185,7 @@ def random_linear_extension(chains, rng: random.Random, below=None) -> ChainOrde
                 ready.append(k)
     if len(order) != m:
         raise InternalMismatchError("componentwise inclusion has a cycle")
-    # permute the below masks instead of recomparing all chain pairs
-    new_pos = [0] * m
-    for new_k, old_k in enumerate(order):
-        new_pos[old_k] = new_k
-    new_below = []
-    for old_k in order:
-        s = below[old_k]
-        nb = 0
-        while s:
-            j = (s & -s).bit_length() - 1
-            s &= s - 1
-            nb |= 1 << new_pos[j]
-        new_below.append(nb)
-    out = ChainOrder(tuple(chains[k] for k in order), tuple(new_below))
-    assert out.is_linear_extension()
-    return out
+    return ChainOrder(tuple(chains[k] for k in order))
 
 
 @dataclass(frozen=True)
@@ -356,10 +336,9 @@ def gamma_certificate(
     if not chain[a - 1] >> (i - 1) & 1:
         return None
     fvars = sorted(set(fset))
-    for b in range(a + 1, family.r + 1):
-        comp = composite_relation(family, a, b - 1).rel
+    for b, rows in enumerate(composite_rows(family, a), start=a + 1):
         for bb, j in fvars:
-            if bb == b and comp.holds(i, j):
+            if bb == b and rows[i - 1] >> (j - 1) & 1:
                 return (b, j)
     raise InternalMismatchError(
         f"p_{i} is in gamma_{a} but no generating variable reaches it"

@@ -3,14 +3,16 @@
 Verbs: ideals, hr build|check-lq|gamma, dual, graph build|check|cm,
 cm check, verify-paper.  Exit codes: 0 success, 1 a mathematical condition
 failed, 2 bad input, 3 internal mismatch between two computations that must
-agree (always a bug).  All output is deterministic given inputs, flags and
-seed; --format json mirrors the text payload for scripting.
+agree (always a bug), 141 (128 + SIGPIPE) the reader closed stdout early.
+All output is deterministic given inputs, flags and seed; --format json
+mirrors the text payload for scripting.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .chains import (
@@ -397,7 +399,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away (e.g. `| head`); silence the exit-time flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

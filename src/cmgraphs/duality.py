@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import RangeError, SizeBudgetError, UnitIdealError
 from .monomials import Monomial, MonomialIdeal, minimalize, sort_gens
-from .posets import RelationFamily, composite_relation
+from .posets import RelationFamily, reach_pairs
 
 DEFAULT_VERTEX_BUDGET = 24
 
@@ -251,14 +251,8 @@ def dual_hr_fast(family: RelationFamily) -> MonomialIdeal:
     they are pairwise distinct, so the list is minimal as built.
     """
     n, r = family.n, family.r
-    gens = []
-    for s in range(1, r):
-        for t in range(s + 1, r + 1):
-            rel = composite_relation(family, s, t - 1).rel
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    if rel.holds(i, j):
-                        gens.append(
-                            Monomial.from_variables(r, n, [(s, i), (t, j)])
-                        )
+    gens = [
+        Monomial.from_variables(r, n, [(s, i), (t, j)])
+        for s, t, i, j in reach_pairs(family)
+    ]
     return MonomialIdeal(r, n, sort_gens(gens))

@@ -21,7 +21,7 @@ from .errors import (
     RangeError,
 )
 from .monomials import Monomial, MonomialIdeal, sort_gens
-from .posets import RelationFamily, composite_relation, read_json
+from .posets import RelationFamily, composite_relation, reach_pairs, read_json
 
 Vertex = tuple  # (level, index), 1-based
 Edge = tuple  # ((a,i),(b,j)) with (a,i) < (b,j) and a != b
@@ -136,16 +136,8 @@ class HerzogHibiReport(ConditionReport):
 
 def graph_of_family(family: RelationFamily) -> MultipartiteGraph:
     """Edges X[a,i] -- X[b,j] for a < b whenever p_i reaches p_j through levels a..b-1."""
-    n, r = family.n, family.r
-    edges = set()
-    for a in range(1, r):
-        for b in range(a + 1, r + 1):
-            rel = composite_relation(family, a, b - 1).rel
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    if rel.holds(i, j):
-                        edges.add(((a, i), (b, j)))
-    return MultipartiteGraph(r, n, frozenset(edges))
+    edges = frozenset(((a, i), (b, j)) for a, b, i, j in reach_pairs(family))
+    return MultipartiteGraph(family.r, family.n, edges)
 
 
 def edge_ideal(graph: MultipartiteGraph) -> MonomialIdeal:

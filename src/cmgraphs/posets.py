@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
+from itertools import combinations, islice
 
 from .errors import (
     ChainError,
@@ -77,8 +78,12 @@ class Relation:
     def strict_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((i, j) for i, j in self.pairs() if i != j)
 
+    @cached_property
     def down_masks(self) -> tuple[int, ...]:
-        """down[j] = bitmask of all i with p_{i+1} related-to p_{j+1} (0-based j)."""
+        """down[j] = bitmask of all i with p_{i+1} related-to p_{j+1} (0-based j).
+
+        Computed once per relation; the frozen instance keeps the result.
+        """
         down = [0] * self.n
         for i in range(self.n):
             row = self.rows[i]
@@ -200,7 +205,7 @@ def _union_of_rows(rows, mask: int) -> int:
 
 def is_order_ideal(rel: Relation, mask: int) -> bool:
     """Whether the bitmask is downward closed in the relation."""
-    return _union_of_rows(rel.down_masks(), mask) & ~mask == 0
+    return _union_of_rows(rel.down_masks, mask) & ~mask == 0
 
 
 def order_ideals(rel: Relation) -> list[int]:
@@ -208,7 +213,7 @@ def order_ideals(rel: Relation) -> list[int]:
 
     Always includes the empty set and the full ground set.
     """
-    down = rel.down_masks()
+    down = rel.down_masks
     out = [m for m in range(1 << rel.n) if _union_of_rows(down, m) & ~m == 0]
     out.sort(key=lambda s: (s.bit_count(), s))
     return out
@@ -216,7 +221,7 @@ def order_ideals(rel: Relation) -> list[int]:
 
 def ideal_closure(rel: Relation, generators_mask: int) -> int:
     """Smallest order ideal of the relation containing the given elements."""
-    return _union_of_rows(rel.down_masks(), generators_mask) | generators_mask
+    return _union_of_rows(rel.down_masks, generators_mask) | generators_mask
 
 
 @dataclass(frozen=True)
@@ -275,26 +280,42 @@ class CompositeRelation:
     rel: Relation
 
 
-def composite_relation(family: RelationFamily, a: int, b: int) -> CompositeRelation:
-    """Compose the level relations a, a+1, ..., b.
+def composite_rows(family: RelationFamily, a: int):
+    """Rows of the composite relations of the windows a..a, a..a+1, ..., a..r-1.
 
-    p_i is related to p_j iff there is a chain p_i <=_a p_{t_1} <=_{a+1}
-    ... <=_b p_j with one intermediate element per level boundary.  Because
-    every level relation only relates smaller indices to larger ones, the
-    indices along any such chain are automatically non-decreasing, so plain
-    boolean relation composition computes exactly the chain-reachability
-    relation; no extra ordering constraint on the intermediates is needed.
+    p_i is related to p_j through levels a..b iff there is a chain
+    p_i <=_a p_{t_1} <=_{a+1} ... <=_b p_j with one intermediate element per
+    level boundary.  Each window is the one before it composed with the next
+    level.  Because every level relation only relates smaller indices to
+    larger ones, the indices along any such chain are automatically
+    non-decreasing, so plain boolean relation composition computes exactly
+    the chain-reachability relation; no extra ordering constraint on the
+    intermediates is needed.
     """
+    rows = family.level(a).rows
+    yield rows
+    for rel in family.levels[a:]:
+        rows = tuple(_union_of_rows(rel.rows, row) for row in rows)
+        yield rows
+
+
+def composite_relation(family: RelationFamily, a: int, b: int) -> CompositeRelation:
+    """Compose the level relations a, a+1, ..., b (see :func:`composite_rows`)."""
     if not 1 <= a <= b <= family.r - 1:
         raise LevelError(
             f"level window [{a},{b}] out of range 1 <= a <= b <= {family.r - 1}"
         )
-    rows = list(family.level(a).rows)
-    n = family.n
-    for lvl in range(a + 1, b + 1):
-        nxt = family.level(lvl).rows
-        rows = [_union_of_rows(nxt, row) for row in rows]
-    return CompositeRelation(a, b, Relation(n, tuple(rows)))
+    rows = next(islice(composite_rows(family, a), b - a, None))
+    return CompositeRelation(a, b, Relation(family.n, rows))
+
+
+def reach_pairs(family: RelationFamily):
+    """(a, b, i, j) for all a < b with p_i reaching p_j through levels a..b-1."""
+    for a in range(1, family.r):
+        for b, rows in enumerate(composite_rows(family, a), start=a + 1):
+            for i, row in enumerate(rows, start=1):
+                for j in members(row):
+                    yield a, b, i, j
 
 
 def validate_chain(family: RelationFamily, chain) -> tuple[int, ...]:

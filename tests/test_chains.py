@@ -137,9 +137,8 @@ def test_chain_compare_verdicts():
         chain_compare((0b001,), (0b001, 0b000))
 
 
-def test_linear_extension_respects_inclusion(sample):
-    order = linear_extension(enumerate_chains(sample))
-    assert order.is_linear_extension()
+def assert_respects_inclusion(order):
+    """No chain of the order lies componentwise below an earlier one."""
     pos = {c: k for k, c in enumerate(order.chains)}
     for cj in order.chains:
         for ci in order.chains:
@@ -147,12 +146,28 @@ def test_linear_extension_respects_inclusion(sample):
                 assert pos[cj] < pos[ci]
 
 
+def test_linear_extension_respects_inclusion(sample):
+    chains = enumerate_chains(sample)
+    order = linear_extension(chains)
+    assert sorted(order.chains) == sorted(chains)
+    assert_respects_inclusion(order)
+    rng = random.Random(909)
+    for s in range(25):
+        fam = random_family(rng, max_n=3, max_r=5)
+        chains = enumerate_chains(fam)
+        # a shuffled input, so the order is not the enumeration order already
+        random.Random(s).shuffle(chains)
+        for order in (linear_extension(chains), random_linear_extension(chains, random.Random(s))):
+            assert sorted(order.chains) == sorted(chains)
+            assert_respects_inclusion(order)
+
+
 def test_random_linear_extension_is_seed_deterministic(sample):
     chains = enumerate_chains(sample)
     a = random_linear_extension(chains, random.Random(7))
     b = random_linear_extension(chains, random.Random(7))
     assert a.chains == b.chains
-    assert a.is_linear_extension()
+    assert_respects_inclusion(a)
     seen = {random_linear_extension(chains, random.Random(s)).chains for s in range(8)}
     assert len(seen) > 1
 
@@ -164,7 +179,7 @@ def test_linear_quotients_pass_on_sample_orders(sample):
     assert check_linear_quotients(gens).passed
     rng = random.Random(11)
     for _ in range(10):
-        order = random_linear_extension(chains, rng, below=canonical.below)
+        order = random_linear_extension(chains, rng)
         gens = [chain_monomial(sample, c) for c in order.chains]
         assert check_linear_quotients(gens).passed
 

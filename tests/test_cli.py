@@ -212,3 +212,20 @@ def test_console_script_entry_point(sample_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("15 chains")
+
+
+def test_closed_stdout_pipe_exits_141(write_json):
+    # 2^14 ideals print far more than a pipe buffer holds, so the writer is
+    # still printing when the reader closes its end after the first line
+    path = write_json({"n": 14, "r": 2})
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cmgraphs.cli", "ideals", path],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"level 1: 16384 order ideals\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert b"Traceback" not in err

@@ -13,16 +13,18 @@ from cmgraphs import (
     PartsError,
     RangeError,
     RelationFamily,
+    build_hr,
     check_family_conditions,
     check_herzog_hibi,
     check_theorem1,
     check_theorem2,
     complement_is_chordal,
-    dual_hr_fast,
+    dual_ideal_bruteforce,
     edge_count_expected,
     edge_ideal,
     graph_of_family,
     graph_to_dot,
+    grid_vertices,
     herzog_hibi_conditions,
     independence_complex,
     load_graph,
@@ -74,8 +76,12 @@ def test_sample_graph_matches_frozen_edges(sample):
 
 
 def test_edge_ideal_equals_fast_dual(sample):
-    g = graph_of_family(sample)
-    assert edge_ideal(g) == dual_hr_fast(sample)
+    # graph_of_family and dual_hr_fast share one composite sweep, so the edge
+    # ideal is compared with the independent brute-force dual
+    rng = random.Random(808)
+    for fam in [sample] + [random_family(rng, max_n=3, max_r=4) for _ in range(10)]:
+        brute = dual_ideal_bruteforce(build_hr(fam), grid_vertices(fam.r, fam.n))
+        assert set(edge_ideal(graph_of_family(fam)).masks()) == set(brute.masks())
 
 
 def test_edge_count_formula_hand_cases():

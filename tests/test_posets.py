@@ -13,6 +13,7 @@ from cmgraphs import (
     RelationFamily,
     close_relation,
     composite_relation,
+    composite_rows,
     identity_relation,
     is_order_ideal,
     load_family,
@@ -186,9 +187,13 @@ def test_composite_grows_with_the_window():
         fam = random_family(rng, max_n=5, max_r=5)
         for a in range(1, fam.r):
             prev = set(composite_relation(fam, a, a).rel.pairs())
+            windows = list(composite_rows(fam, a))
+            assert len(windows) == fam.r - a
+            assert windows[0] == fam.level(a).rows
             for b in range(a + 1, fam.r):
                 cur = set(composite_relation(fam, a, b).rel.pairs())
                 assert prev <= cur
+                assert set(Relation(fam.n, windows[b - a]).pairs()) == cur
                 prev = cur
 
 

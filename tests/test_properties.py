@@ -1,0 +1,51 @@
+"""Generated-family properties: the three dual routes agree and both chain
+orders extend componentwise inclusion."""
+
+import random
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from cmgraphs import (  # noqa: E402
+    RelationFamily,
+    build_hr,
+    chain_compare,
+    dual_hr_fast,
+    dual_ideal_bruteforce,
+    edge_ideal,
+    enumerate_chains,
+    graph_of_family,
+    grid_vertices,
+    linear_extension,
+    random_linear_extension,
+)
+
+
+@st.composite
+def families(draw):
+    n = draw(st.integers(1, 3))
+    r = draw(st.integers(2, 4))
+    cover = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    pairs = st.lists(st.sampled_from(cover), unique=True) if cover else st.just([])
+    levels = {a: draw(pairs) for a in range(1, r)}
+    return RelationFamily.from_pairs(n, r, levels)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(families(), st.integers(0, 2**32 - 1))
+def test_duals_agree_and_orders_extend_inclusion(fam, seed):
+    fast = set(dual_hr_fast(fam).masks())
+    graph = set(edge_ideal(graph_of_family(fam)).masks())
+    brute = set(dual_ideal_bruteforce(build_hr(fam), grid_vertices(fam.r, fam.n)).masks())
+    assert fast == graph == brute
+    chains = enumerate_chains(fam)
+    for order in (linear_extension(chains), random_linear_extension(chains, random.Random(seed))):
+        assert sorted(order.chains) == sorted(chains)
+        pos = {c: k for k, c in enumerate(order.chains)}
+        for cj in order.chains:
+            for ci in order.chains:
+                if chain_compare(cj, ci) == "less":
+                    assert pos[cj] < pos[ci]
