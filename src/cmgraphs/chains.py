@@ -19,6 +19,7 @@ strictly increases along strict inclusion.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -149,6 +150,26 @@ def linear_extension(chains) -> ChainOrder:
     return ChainOrder(ordered)
 
 
+@functools.lru_cache(maxsize=1)
+def _predecessors(chains: tuple) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """For each position k, the bitmask of positions j with chains[j] < chains[k],
+    and the positions each chain lies strictly below.
+
+    Cached for the last chain tuple, so repeated random extensions of one
+    chain set build the O(m^2) masks once.
+    """
+    width = max((ideal.bit_length() for c in chains for ideal in c), default=0)
+    packed = [_pack(c, width) for c in chains]
+    below = [0] * len(chains)
+    succs: list[list[int]] = [[] for _ in chains]
+    for k, pk in enumerate(packed):
+        for j, pj in enumerate(packed):
+            if pj & ~pk == 0 and pj != pk:
+                below[k] |= 1 << j
+                succs[j].append(k)
+    return tuple(below), tuple(map(tuple, succs))
+
+
 def random_linear_extension(chains, rng: random.Random) -> ChainOrder:
     """A seeded random linear extension (random topological sort, not uniform).
 
@@ -157,17 +178,9 @@ def random_linear_extension(chains, rng: random.Random) -> ChainOrder:
     predecessors come from the chains packed into one int each, one &~ test
     per pair.
     """
-    chains = list(chains)
+    chains = tuple(map(tuple, chains))
     m = len(chains)
-    width = max((ideal.bit_length() for c in chains for ideal in c), default=0)
-    packed = [_pack(c, width) for c in chains]
-    below = [0] * m  # below[k] = bitmask of positions j with chains[j] < chains[k]
-    succs: list[list[int]] = [[] for _ in range(m)]
-    for k, pk in enumerate(packed):
-        for j, pj in enumerate(packed):
-            if pj & ~pk == 0 and pj != pk:
-                below[k] |= 1 << j
-                succs[j].append(k)
+    below, succs = _predecessors(chains)
     counts = [b.bit_count() for b in below]
     ready = [k for k in range(m) if counts[k] == 0]
     order: list[int] = []

@@ -29,47 +29,162 @@ DEFAULT_VERTEX_BUDGET = 24
 
 
 # ---------------------------------------------------------------------------
-# subset-lattice primitives, boolean arrays of length 2^b
+# subset-lattice primitives: the 2^b masks over b vertex bits, packed 64 to a
+# np.uint64 word.  Mask m is bit m & 63 of word m >> 6, so a lattice of
+# b >= 6 bits takes 2^(b-6) words and a smaller one a single word whose bits
+# from 2^b up stay clear.  No other module reads the format: homology gets
+# its faces from all_faces as a list of masks.
 # ---------------------------------------------------------------------------
 
+_WORD_BITS = 6
+# _LOW_INT[k]: the bit positions p of a word with bit k of p clear
+_LOW_INT = (
+    0x5555555555555555,
+    0x3333333333333333,
+    0x0F0F0F0F0F0F0F0F,
+    0x00FF00FF00FF00FF,
+    0x0000FFFF0000FFFF,
+    0x00000000FFFFFFFF,
+)
+_LOW = tuple(np.uint64(c) for c in _LOW_INT)
+_BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
-def subset_closure(flags: np.ndarray, bits: int) -> np.ndarray:
+
+def _pack(masks, bits: int) -> np.ndarray:
+    """The lattice of `bits` vertex bits with the given masks marked."""
+    words = np.zeros(1 << max(bits - _WORD_BITS, 0), dtype=np.uint64)
+    idx = np.fromiter(masks, dtype=np.int64)
+    bit = np.left_shift(np.uint64(1), (idx & 63).astype(np.uint64))
+    np.bitwise_or.at(words, idx >> _WORD_BITS, bit)
+    return words
+
+
+def _octets(words: np.ndarray) -> np.ndarray:
+    """The words as bytes, masks 8i..8i+7 in byte i."""
+    return words.astype("<u8", copy=False).view(np.uint8)
+
+
+def _popcount(words: np.ndarray) -> int:
+    return int(_BYTE_POPCOUNT[_octets(words)].sum())
+
+
+def _marked(words: np.ndarray) -> np.ndarray:
+    """The marked masks, ascending, as int64."""
+    octets = _octets(words)
+    at = np.flatnonzero(octets)
+    row, col = np.nonzero(np.unpackbits(octets[at], bitorder="little").reshape(-1, 8))
+    return (at[row] << 3) | col
+
+
+def _complement(words: np.ndarray, bits: int) -> np.ndarray:
+    out = ~words
+    if bits < _WORD_BITS:
+        out &= np.uint64((1 << (1 << bits)) - 1)
+    return out
+
+
+def _or_across(dst: np.ndarray, src: np.ndarray, k: int, down: bool) -> None:
+    """dst[m] |= src[m ^ 1<<k] for every mask m without bit k (down) or with it (up)."""
+    if k < _WORD_BITS:
+        s = 1 << k
+        dst |= (src >> s) & _LOW[k] if down else (src & _LOW[k]) << s
+        return
+    dview = dst.reshape(-1, 2, 1 << (k - _WORD_BITS))
+    sview = src.reshape(-1, 2, 1 << (k - _WORD_BITS))
+    if down:
+        dview[:, 0, :] |= sview[:, 1, :]
+    else:
+        dview[:, 1, :] |= sview[:, 0, :]
+
+
+def subset_closure(words: np.ndarray, bits: int) -> np.ndarray:
     """Mark every subset of a marked mask (closure includes the mask itself)."""
-    out = flags.copy()
-    for b in range(bits):
-        view = out.reshape(-1, 2, 1 << b)
-        view[:, 0, :] |= view[:, 1, :]
+    out = words.copy()
+    for k in range(bits):
+        _or_across(out, out, k, down=True)
     return out
 
 
-def superset_closure(flags: np.ndarray, bits: int) -> np.ndarray:
+def superset_closure(words: np.ndarray, bits: int) -> np.ndarray:
     """Mark every superset of a marked mask."""
-    out = flags.copy()
-    for b in range(bits):
-        view = out.reshape(-1, 2, 1 << b)
-        view[:, 1, :] |= view[:, 0, :]
+    out = words.copy()
+    for k in range(bits):
+        _or_across(out, out, k, down=False)
     return out
 
 
-def maximal_true(flags: np.ndarray, bits: int) -> list[int]:
-    """Masks that are marked and have no marked strict superset."""
+def maximal_true(words: np.ndarray, bits: int) -> list[int]:
+    """Masks that are marked and have no marked strict superset, ascending."""
     # dominated[m] = some strict superset of m is marked
-    dominated = np.zeros_like(flags)
-    for b in range(bits):
-        fview = flags.reshape(-1, 2, 1 << b)
-        dview = dominated.reshape(-1, 2, 1 << b)
-        dview[:, 0, :] |= fview[:, 1, :] | dview[:, 1, :]
-    return [int(m) for m in np.flatnonzero(flags & ~dominated)]
+    dominated = np.zeros_like(words)
+    for k in range(bits):
+        _or_across(dominated, words | dominated, k, down=True)
+    return _marked(words & ~dominated).tolist()
 
 
-def minimal_true(flags: np.ndarray, bits: int) -> list[int]:
-    """Masks that are marked and have no marked strict subset."""
-    dominated = np.zeros_like(flags)
-    for b in range(bits):
-        fview = flags.reshape(-1, 2, 1 << b)
-        dview = dominated.reshape(-1, 2, 1 << b)
-        dview[:, 1, :] |= fview[:, 0, :] | dview[:, 0, :]
-    return [int(m) for m in np.flatnonzero(flags & ~dominated)]
+def minimal_true(words: np.ndarray, bits: int) -> list[int]:
+    """Masks that are marked and have no marked strict subset, ascending."""
+    dominated = np.zeros_like(words)
+    for k in range(bits):
+        _or_across(dominated, words | dominated, k, down=False)
+    return _marked(words & ~dominated).tolist()
+
+
+def _remap_bits(mask: int, target) -> int:
+    """The mask with each set bit k moved to bit target[k]."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out |= 1 << target[low.bit_length() - 1]
+    return out
+
+
+def _check_face_budget(count: int, budget: int) -> None:
+    if count > budget:
+        raise SizeBudgetError(f"{count} faces exceed the budget of {budget}")
+
+
+def all_faces(facets, face_budget: int) -> list[int]:
+    """Every subset of some given facet, ascending, in the facets' bit positions.
+
+    The lattice spans only the vertex bits the facets use.  Raises when those
+    are more than DEFAULT_VERTEX_BUDGET, or when the faces (the empty face
+    included) number more than face_budget; the count comes before any face
+    is listed.
+    """
+    used = 0
+    for f in facets:
+        used |= f
+    positions = [k for k in range(used.bit_length()) if used >> k & 1]
+    bits = len(positions)
+    if bits > DEFAULT_VERTEX_BUDGET:
+        raise SizeBudgetError(
+            f"{bits} occupied vertices exceed the {DEFAULT_VERTEX_BUDGET}-bit lattice limit"
+        )
+    compress = {pos: k for k, pos in enumerate(positions)}
+    compressed = [_remap_bits(f, compress) for f in facets]
+    if bits <= _WORD_BITS:
+        # one word: the same closure steps on a Python int skip numpy's
+        # per-call cost, which dominates on the many small links of a CM check
+        word = 0
+        for m in compressed:
+            word |= 1 << m
+        for k in range(bits):
+            word |= word >> (1 << k) & _LOW_INT[k]
+        _check_face_budget(word.bit_count(), face_budget)
+        return [_remap_bits(m, positions) for m in range(1 << bits) if word >> m & 1]
+    faces = subset_closure(_pack(compressed, bits), bits)
+    _check_face_budget(_popcount(faces), face_budget)
+    small = _marked(faces).astype(np.uint64)
+    # move bit k back to bit positions[k], in 64-bit limbs of the result
+    limbs = [np.zeros_like(small) for _ in range(max(1, (used.bit_length() + 63) >> 6))]
+    for k, pos in enumerate(positions):
+        limbs[pos >> 6] |= ((small >> k) & 1) << (pos & 63)
+    out = limbs[0].tolist()
+    for index, limb in enumerate(limbs[1:], 1):
+        out = [a | b << (64 * index) for a, b in zip(out, limb.tolist())]
+    return out
 
 
 def vertex_label_str(label) -> str:
@@ -192,11 +307,8 @@ def complex_of_ideal(
         raise UnitIdealError("the unit ideal corresponds to no complex")
     _check_vertex_budget(len(vertices), max_vertices)
     nv = len(vertices)
-    gen_masks = _gen_masks_over(ideal, vertices)
-    flags = np.zeros(1 << nv, dtype=bool)
-    for m in gen_masks:
-        flags[m] = True
-    faces = ~superset_closure(flags, nv)
+    nonfaces = superset_closure(_pack(_gen_masks_over(ideal, vertices), nv), nv)
+    faces = _complement(nonfaces, nv)
     return SimplicialComplex(vertices, tuple(maximal_true(faces, nv)))
 
 
@@ -211,11 +323,7 @@ def alexander_dual_complex(
     _check_vertex_budget(len(cx.vertices), max_vertices)
     nv = len(cx.vertices)
     full = (1 << nv) - 1
-    flags = np.zeros(1 << nv, dtype=bool)
-    for f in cx.facets:
-        flags[f] = True
-    faces = subset_closure(flags, nv)
-    nonfaces = ~faces
+    nonfaces = _complement(subset_closure(_pack(cx.facets, nv), nv), nv)
     if not nonfaces.any():
         return SimplicialComplex(cx.vertices, ())
     dual_facets = [full ^ m for m in minimal_true(nonfaces, nv)]

@@ -3,8 +3,9 @@
 Ranks are computed from boundary-matrix ranks with exact arithmetic and two
 kernels.  GF(2) rows are int bitsets eliminated by XOR.  GF(p) and Q share
 one sparse elimination of integer rows held as dicts: each row is reduced
-against the pivot row of its highest column, then taken mod p, or over Q
-divided by the gcd of its entries.  GF(2), the default field, keeps its own
+against the pivot row of its highest column, mod p against a pivot scaled
+to leading coefficient 1, or over Q fraction-free and divided by the gcd of
+its entries.  GF(2), the default field, keeps its own
 kernel because XOR on ints is much cheaper than dict updates: routing it
 through the dict kernel made CM checks on the benchmark graphs 1.3-1.8
 times slower.
@@ -22,19 +23,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-import numpy as np
-
-from .duality import SimplicialComplex, subset_closure
+from .duality import SimplicialComplex, _remap_bits, all_faces
 from .errors import (
     InternalMismatchError,
     NotFaceError,
     ParseError,
     RangeError,
-    SizeBudgetError,
 )
 
 DEFAULT_FACE_BUDGET = 1 << 20
-_LATTICE_BITS_MAX = 24
 
 
 @dataclass(frozen=True)
@@ -125,52 +122,23 @@ class CMCertificate:
 
 
 # ---------------------------------------------------------------------------
-# face enumeration (compressed to the vertices the facets actually use)
+# face enumeration
 # ---------------------------------------------------------------------------
 
 
-def _remap_bits(mask: int, target) -> int:
-    """The mask with each set bit k moved to bit target[k]."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        out |= 1 << target[low.bit_length() - 1]
-    return out
-
-
 def _faces_by_dim(facets, face_budget: int) -> list[list[int]]:
-    """Faces grouped by dimension, as masks in the ORIGINAL bit positions.
+    """Faces grouped by dimension, each group ascending.
 
     Index 0 of the result holds dimension -1 (the empty face).  Raises when
     the facets use more vertex bits than the subset lattice can afford or
     when the total face count exceeds the budget.
     """
-    used = 0
-    for f in facets:
-        used |= f
-    positions = [k for k in range(used.bit_length()) if used >> k & 1]
-    bits = len(positions)
-    if bits > _LATTICE_BITS_MAX:
-        raise SizeBudgetError(
-            f"{bits} occupied vertices exceed the {_LATTICE_BITS_MAX}-bit lattice limit"
-        )
-    compress = {pos: k for k, pos in enumerate(positions)}
-    flags = np.zeros(1 << bits, dtype=bool)
-    for f in facets:
-        flags[_remap_bits(f, compress)] = True
-    faces = subset_closure(flags, bits)
-    total = int(faces.sum())
-    if total > face_budget:
-        raise SizeBudgetError(f"{total} faces exceed the budget of {face_budget}")
-    by_dim: list[list[int]] = [[] for _ in range(bits + 1)]
-    for small in np.flatnonzero(faces):
-        small = int(small)
-        by_dim[small.bit_count()].append(_remap_bits(small, positions))
-    while len(by_dim) > 1 and not by_dim[-1]:
-        by_dim.pop()
-    for bucket in by_dim:
-        bucket.sort()
+    by_dim: list[list[int]] = [[]]
+    for face in all_faces(facets, face_budget):
+        d = face.bit_count()
+        while len(by_dim) <= d:
+            by_dim.append([])
+        by_dim[d].append(face)
     return by_dim
 
 
@@ -197,11 +165,13 @@ def _rank_gf2(rows: list[int]) -> int:
 def _rank_sparse(rows, p: int) -> int:
     """Rank over GF(p), or over Q when p is 0, of integer rows of (column, value) pairs.
 
-    Each row is reduced against the stored pivot row for its highest column
-    as b*row - a*pivot.  Over GF(p) its entries are then taken mod p; over Q
-    it is divided by the gcd of its entries.  Zero entries are dropped, and
-    what is left nonzero becomes a new pivot.  Row operations with nonzero
-    multipliers keep the row space, so the rank is exact.
+    Each row is reduced against the stored pivot row for its highest column.
+    Over GF(p) every pivot is stored scaled to leading coefficient 1, so one
+    pass of row - a*pivot mod p clears that column.  Over Q the step is
+    b*row - a*pivot, and the result is divided by the gcd of its entries.
+    Zero entries are dropped, and what is left nonzero becomes a new pivot.
+    Row operations with nonzero multipliers keep the row space, so the rank
+    is exact.
     """
     pivots: dict[int, dict[int, int]] = {}
     for entries in rows:
@@ -210,21 +180,26 @@ def _rank_sparse(rows, p: int) -> int:
             col = max(row)
             pivot = pivots.get(col)
             if pivot is None:
+                if p:
+                    inverse = pow(row[col], -1, p)
+                    row = {c: v * inverse % p for c, v in row.items()}
                 pivots[col] = row
                 break
-            a, b = row[col], pivot[col]
-            g = gcd(a, b)
-            a, b = a // g, b // g
-            row = {c: b * v for c, v in row.items()}
+            a = row[col]
+            if not p:
+                b = pivot[col]
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                row = {c: b * v for c, v in row.items()}
             for c, v in pivot.items():
                 x = row.get(c, 0) - a * v
+                if p:
+                    x %= p
                 if x:
                     row[c] = x
                 else:
                     del row[c]
-            if p:
-                row = {c: v % p for c, v in row.items() if v % p}
-            else:
+            if not p:
                 content = gcd(*row.values())
                 if content > 1:
                     row = {c: v // content for c, v in row.items()}

@@ -230,12 +230,13 @@ def criterion_2_linear_quotients(families) -> tuple[bool, str]:
     checked = 0
     for fam in families:
         chains = enumerate_chains(fam)
+        monomial = {c: chain_monomial(fam, c) for c in chains}
         canonical = linear_extension(chains)
         orders = [canonical] + [
             random_linear_extension(canonical.chains, rng) for _ in range(20)
         ]
         for order in orders:
-            gens = [chain_monomial(fam, c) for c in order.chains]
+            gens = [monomial[c] for c in order.chains]
             verdict = check_linear_quotients(gens)
             if not verdict.passed:
                 return (

@@ -20,7 +20,16 @@ from cmgraphs import (
     minimalize,
 )
 from cmgraphs import RelationFamily
-from cmgraphs.duality import maximal_true, minimal_true, subset_closure, superset_closure
+from cmgraphs.duality import (
+    _complement,
+    _pack,
+    _popcount,
+    all_faces,
+    maximal_true,
+    minimal_true,
+    subset_closure,
+    superset_closure,
+)
 from cmgraphs.verification import random_family, random_squarefree_ideal
 
 # Quadratic generators of the dual of the worked example: one X[s,i]*X[t,j]
@@ -46,17 +55,61 @@ SAMPLE_DUAL_GENERATORS = frozenset(
 
 
 def flags_from(bits, masks):
-    out = np.zeros(1 << bits, dtype=bool)
+    """The packed lattice: mask m is bit m & 63 of word m >> 6."""
+    out = np.zeros(1 << max(bits - 6, 0), dtype=np.uint64)
     for m in masks:
-        out[m] = True
+        out[m >> 6] |= np.uint64(1 << (m & 63))
     return out
+
+
+def is_marked(words, m):
+    return int(words[m >> 6]) >> (m & 63) & 1 == 1
+
+
+def marked_set(words, bits):
+    return {m for m in range(1 << bits) if is_marked(words, m)}
 
 
 def test_subset_and_superset_closures():
     down = subset_closure(flags_from(3, [0b101]), 3)
-    assert {m for m in range(8) if down[m]} == {0b000, 0b001, 0b100, 0b101}
+    assert {m for m in range(8) if is_marked(down, m)} == {0b000, 0b001, 0b100, 0b101}
     up = superset_closure(flags_from(3, [0b001]), 3)
-    assert {m for m in range(8) if up[m]} == {m for m in range(8) if m & 1}
+    assert {m for m in range(8) if is_marked(up, m)} == {m for m in range(8) if m & 1}
+
+
+def test_packed_kernels_match_all_subsets_reference():
+    # b = 0..8 puts lattices inside one word and across several, so both
+    # the in-word shifts and the word-view steps are checked
+    rng = random.Random(2024)
+    for bits in range(9):
+        universe = range(1 << bits)
+        for _ in range(12):
+            chosen = {rng.randrange(1 << bits) for _ in range(rng.randint(0, 6))}
+            words = flags_from(bits, chosen)
+            assert np.array_equal(_pack(chosen, bits), words)
+            assert _popcount(words) == len(chosen)
+            down = {x for x in universe if any(x & ~m == 0 for m in chosen)}
+            up = {x for x in universe if any(m & ~x == 0 for m in chosen)}
+            assert marked_set(subset_closure(words, bits), bits) == down
+            assert marked_set(superset_closure(words, bits), bits) == up
+            assert maximal_true(words, bits) == sorted(
+                m for m in chosen if not any(m != x and m & ~x == 0 for x in chosen)
+            )
+            assert minimal_true(words, bits) == sorted(
+                m for m in chosen if not any(m != x and x & ~m == 0 for x in chosen)
+            )
+            comp = _complement(words, bits)
+            assert marked_set(comp, bits) == set(universe) - chosen
+            # the bits past 2^b of a one-word lattice stay clear
+            assert _popcount(comp) == (1 << bits) - len(chosen)
+            # the same facets spread over scattered positions, some past bit 64
+            positions = sorted(rng.sample(range(80), bits))
+            spread = [sum(1 << positions[k] for k in range(bits) if m >> k & 1) for m in chosen]
+            want = sorted({sum(1 << positions[k] for k in range(bits) if x >> k & 1) for x in down})
+            assert all_faces(spread, face_budget=1 << bits) == want
+            if want:
+                with pytest.raises(SizeBudgetError):
+                    all_faces(spread, face_budget=len(want) - 1)
 
 
 def test_maximal_and_minimal_true():

@@ -195,6 +195,10 @@ def test_face_budget_is_enforced():
     wide = SimplicialComplex.make(tuple(range(25)), [(1 << 25) - 1])
     with pytest.raises(SizeBudgetError):
         reduced_homology(wide)
+    # 2^22 faces fit the lattice but not the default face budget
+    simplex22 = SimplicialComplex.make(tuple(range(22)), [(1 << 22) - 1])
+    with pytest.raises(SizeBudgetError, match="faces exceed the budget"):
+        reduced_homology(simplex22)
 
 
 def test_link_of_vertex_in_sphere_is_a_circle():

@@ -1,5 +1,6 @@
-"""Generated-family properties: the three dual routes agree and both chain
-orders extend componentwise inclusion."""
+"""Generated-family properties: the three dual routes agree, both chain
+orders extend componentwise inclusion, and the facets of the family graph's
+independence complex are the complements of the chain-monomial supports."""
 
 import random
 
@@ -13,12 +14,14 @@ from cmgraphs import (  # noqa: E402
     RelationFamily,
     build_hr,
     chain_compare,
+    chain_monomial,
     dual_hr_fast,
     dual_ideal_bruteforce,
     edge_ideal,
     enumerate_chains,
     graph_of_family,
     grid_vertices,
+    independence_complex,
     linear_extension,
     random_linear_extension,
 )
@@ -49,3 +52,14 @@ def test_duals_agree_and_orders_extend_inclusion(fam, seed):
             for ci in order.chains:
                 if chain_compare(cj, ci) == "less":
                     assert pos[cj] < pos[ci]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(families())
+def test_independence_facets_are_chain_monomial_complements(fam):
+    full = (1 << fam.r * fam.n) - 1
+    chains = enumerate_chains(fam)
+    want = {full ^ chain_monomial(fam, c).mask for c in chains}
+    facets = independence_complex(graph_of_family(fam)).facets
+    assert len(facets) == len(chains)
+    assert set(facets) == want
