@@ -215,10 +215,19 @@ class SimplicialComplex:
         for f in self.facets:
             if f < 0 or f & ~full:
                 raise RangeError(f"facet {f:#x} out of vertex range")
+        if len(set(self.facets)) < len(self.facets):
+            raise RangeError("a facet is listed twice")
+        # distinct facets of one size are never nested, so compare each
+        # size group only against the larger facets
+        by_size: dict[int, list[int]] = {}
         for f in self.facets:
-            for g in self.facets:
-                if f != g and f & ~g == 0:
-                    raise RangeError("facets must form an inclusion antichain")
+            by_size.setdefault(f.bit_count(), []).append(f)
+        larger: list[int] = []
+        for size in sorted(by_size, reverse=True):
+            group = by_size[size]
+            if larger and any(f & ~g == 0 for f in group for g in larger):
+                raise RangeError("facets must form an inclusion antichain")
+            larger += group
 
     @classmethod
     def make(cls, vertices, face_masks) -> SimplicialComplex:

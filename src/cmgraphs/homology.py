@@ -15,7 +15,13 @@ complex starts with zeros.
 
 The Cohen-Macaulay verdict follows the local-homology criterion: a complex
 is CM over the field iff for every face, every reduced homology rank of its
-link vanishes strictly below the link's dimension.
+link vanishes strictly below the link's dimension.  The oracle enumerates
+the complex's faces once and walks them level by level; the parent of a
+face F is F less its lowest vertex v, and the link of F is read off the
+parent's link as the facets (and faces) that contain v, with v removed.  No
+link is found by scanning the facets of the complex, and no link's face
+lattice is enumerated again: a link's faces are derived only when its facet
+set is new to the memo.
 """
 
 from __future__ import annotations
@@ -249,11 +255,11 @@ def reduced_homology(
     """
     if cx.is_void():
         raise ValueError("the void complex has no reduced homology profile")
-    return _homology_of_facets(cx.facets, field, face_budget)
+    return _homology_of_faces(_faces_by_dim(cx.facets, face_budget), field)
 
 
-def _homology_of_facets(facets, field: FieldChoice, face_budget: int) -> HomologyProfile:
-    by_dim = _faces_by_dim(facets, face_budget)
+def _homology_of_faces(by_dim: list[list[int]], field: FieldChoice) -> HomologyProfile:
+    """Reduced Betti numbers from the faces grouped by dimension, as _faces_by_dim gives them."""
     top = len(by_dim) - 2  # top dimension of the complex
     bd_rank = [0] * (top + 3)  # bd_rank[d+1] = rank of boundary out of dim d
     for d in range(0, top + 1):
@@ -335,26 +341,47 @@ def is_cohen_macaulay(
     failure the witness is the lexicographically smallest offending
     (face, dimension) pair; on success purity is asserted, since the
     criterion implies it.
+
+    Each link is read off the link of the face's parent, the face less its
+    lowest vertex v, which the walk visited one level earlier: the link's
+    facets (and, for a link not yet memoized, its faces) are the parent
+    link's ones that contain v, with v removed.  Filtering keeps the
+    (size, mask) order, so a facet tuple names its facet set.  A face whose
+    parent's link was memoized has a memoized link too (if lk(P) = lk(G)
+    for an earlier G, then lk(P + v) = lk(G + v) and G + v comes earlier),
+    so the parent's faces are there whenever they are needed.
     """
     if cx.is_void():
         raise ValueError("the void complex has no Cohen-Macaulay verdict")
     by_dim = _faces_by_dim(cx.facets, face_budget)
-    profile_memo: dict[frozenset, HomologyProfile] = {}
+    root_facets = tuple(sorted(cx.facets, key=lambda m: (m.bit_count(), m)))
+    profile_memo: dict[tuple, tuple[HomologyProfile, int]] = {}
+    # face mask -> (link facets, link faces by dimension or None), one level
+    level: dict[int, tuple] = {0: (root_facets, by_dim)}
     witnesses = []
     for bucket in by_dim:
+        parents, level = level, {}
         for face_mask in bucket:
-            link_facets = tuple(
-                sorted(
-                    (f & ~face_mask for f in cx.facets if face_mask & ~f == 0),
-                    key=lambda m: (m.bit_count(), m),
-                )
-            )
-            key = frozenset(link_facets)
-            profile = profile_memo.get(key)
-            if profile is None:
-                profile = _homology_of_facets(link_facets, field, face_budget)
-                profile_memo[key] = profile
-            link_dim = max(f.bit_count() for f in link_facets) - 1
+            v = face_mask & -face_mask
+            link_facets, faces = parents[face_mask ^ v]
+            if v:
+                link_facets = tuple(f ^ v for f in link_facets if f & v)
+            memo = profile_memo.get(link_facets)
+            if memo is None:
+                if faces is None:
+                    raise InternalMismatchError(
+                        f"link of face {face_mask:#x} is new but its parent's was memoized"
+                    )
+                link_dim = link_facets[-1].bit_count() - 1
+                if v:
+                    faces = [
+                        [f ^ v for f in faces[k + 1] if f & v] for k in range(link_dim + 2)
+                    ]
+                memo = profile_memo[link_facets] = (_homology_of_faces(faces, field), link_dim)
+            else:
+                faces = None
+            level[face_mask] = (link_facets, faces)
+            profile, link_dim = memo
             for d, h in profile.ranks:
                 if d < link_dim and h:
                     witnesses.append((face_mask, d, h))

@@ -8,6 +8,7 @@ import pytest
 from cmgraphs import (
     Monomial,
     MonomialIdeal,
+    RangeError,
     SimplicialComplex,
     SizeBudgetError,
     UnitIdealError,
@@ -138,6 +139,20 @@ def test_complex_make_prunes_to_facets():
     assert cx.dim() == 1
     assert cx.contains_face(0b001)
     assert not cx.contains_face(0b101)
+
+
+def test_complex_rejects_facets_that_are_not_an_antichain():
+    SimplicialComplex(("a", "b", "c"), (0b100, 0b011))  # sizes differ, neither nested
+    for facets in (
+        (0b011, 0b011),  # the same facet twice
+        (0b001, 0b011),  # nested, smaller first
+        (0b111, 0b010),  # nested, larger first
+        (0, 0b100),  # the empty face lies in every facet
+    ):
+        with pytest.raises(RangeError):
+            SimplicialComplex(("a", "b", "c"), facets)
+    with pytest.raises(RangeError, match="out of vertex range"):
+        SimplicialComplex(("a", "b"), (0b100,))
 
 
 def test_void_and_irrelevant_complexes():

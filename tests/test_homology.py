@@ -240,6 +240,64 @@ def test_cm_failure_witness_is_minimal():
     assert rank == 1
 
 
+def test_cm_witness_at_a_nonempty_face():
+    # a cone over vertex 1, so acyclic, but the link of 1 is two disjoint edges
+    cone = cx(5, (1, 2, 3), (1, 4, 5))
+    assert reduced_homology(cone).nonzero() == ()
+    for field in (GF2, gfp(3), RATIONAL):
+        cert = is_cohen_macaulay(cone, field)
+        assert not cert.verdict
+        assert cert.witness == ((1,), 0, 1)
+
+
+def _reference_cm(complex_, field):
+    """Verdict and minimal witness from the public link() of every face."""
+    nv = len(complex_.vertices)
+    failing = []
+    for face in range(1 << nv):
+        if not complex_.contains_face(face):
+            continue
+        lk = link(complex_, face)
+        failing += [
+            (face, d, h) for d, h in reduced_homology(lk, field).ranks if d < lk.dim() and h
+        ]
+    if not failing:
+        return True, None
+
+    def labels(mask):
+        return tuple(v for k, v in enumerate(complex_.vertices) if mask >> k & 1)
+
+    face, d, h = min(failing, key=lambda w: (w[0].bit_count(), labels(w[0]), w[1]))
+    return False, (labels(face), d, h)
+
+
+def _random_complexes(count, seed):
+    """Small complexes with shuffled labels, impure ones and uncovered vertices among them."""
+    rng = random.Random(seed)
+    out = [cx(3, ()), cx(1, ())]  # {∅}, with and without uncovered vertices
+    while len(out) < count:
+        nv = rng.randint(1, 7)
+        labels = tuple(rng.sample(range(10, 30), nv))
+        facets = [rng.getrandbits(nv) for _ in range(rng.randint(1, 6))]
+        if rng.random() < 0.3:  # a pure complex, so CM verdicts come up too
+            size = rng.randint(1, nv)
+            facets = [f for f in facets if f.bit_count() == size] or facets
+        out.append(SimplicialComplex.make(labels, facets))
+    return out
+
+
+def test_cm_walk_matches_link_by_link_reference():
+    complexes = _random_complexes(200, 20261018)
+    outcomes = set()
+    for complex_ in complexes:
+        for field in (GF2, gfp(3), RATIONAL):
+            cert = is_cohen_macaulay(complex_, field)
+            verdict, witness = _reference_cm(complex_, field)
+            assert (cert.verdict, cert.witness) == (verdict, witness), (complex_, field)
+            outcomes.add("CM" if verdict else "at a face" if witness[0] else "at the empty face")
+    assert outcomes == {"CM", "at a face", "at the empty face"}
+
+
 def test_cm_depends_on_the_field_for_torsion():
     over2 = is_cohen_macaulay(PROJECTIVE_PLANE, GF2)
     assert not over2.verdict

@@ -1,6 +1,7 @@
 """Generated-family properties: the three dual routes agree, both chain
 orders extend componentwise inclusion, and the facets of the family graph's
-independence complex are the complements of the chain-monomial supports."""
+independence complex are the complements of the chain-monomial supports.
+Generated-complex property: the CM verdict does not depend on vertex order."""
 
 import random
 
@@ -11,7 +12,10 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from cmgraphs import (  # noqa: E402
+    GF2,
+    RATIONAL,
     RelationFamily,
+    SimplicialComplex,
     build_hr,
     chain_compare,
     chain_monomial,
@@ -22,6 +26,7 @@ from cmgraphs import (  # noqa: E402
     graph_of_family,
     grid_vertices,
     independence_complex,
+    is_cohen_macaulay,
     linear_extension,
     random_linear_extension,
 )
@@ -63,3 +68,30 @@ def test_independence_facets_are_chain_monomial_complements(fam):
     facets = independence_complex(graph_of_family(fam)).facets
     assert len(facets) == len(chains)
     assert set(facets) == want
+
+
+@st.composite
+def relabelled_complexes(draw):
+    nv = draw(st.integers(1, 7))
+    facets = draw(st.lists(st.integers(0, (1 << nv) - 1), min_size=1, max_size=6))
+    perm = draw(st.permutations(range(nv)))  # bit k moves to bit perm[k]
+    moved = [sum(1 << perm[k] for k in range(nv) if f >> k & 1) for f in facets]
+    labels = tuple(range(nv))
+    moved_labels = [None] * nv
+    for k in range(nv):
+        moved_labels[perm[k]] = labels[k]
+    return (
+        SimplicialComplex.make(labels, facets),
+        SimplicialComplex.make(tuple(moved_labels), moved),
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(relabelled_complexes())
+def test_cm_verdict_does_not_depend_on_vertex_order(pair):
+    # the walk reads each link off the link of the face less its lowest
+    # bit, so relabelling the bits changes every parent it picks
+    cx, moved = pair
+    assert sorted(map(sorted, cx.facet_sets())) == sorted(map(sorted, moved.facet_sets()))
+    for field in (GF2, RATIONAL):
+        assert is_cohen_macaulay(cx, field).verdict == is_cohen_macaulay(moved, field).verdict
