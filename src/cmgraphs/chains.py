@@ -210,6 +210,27 @@ class LinearQuotientsVerdict:
         return self.passed
 
 
+def _first_blocked(earlier: list[int], u: int) -> int | None:
+    """Position of the first earlier support whose quotient meets no one-variable quotient.
+
+    The quotient of an earlier u_j is the support of u_j/gcd(u_j,u), that is
+    earlier[j] & ~u.  It passes when it contains a variable that is itself
+    the whole quotient of some earlier generator; None when every one passes.
+    """
+    outside = ~u
+    singles = 0
+    quotients = []
+    for m in earlier:
+        q = m & outside
+        quotients.append(q)
+        if q.bit_count() == 1:
+            singles |= q
+    for j, q in enumerate(quotients):
+        if q & singles == 0:
+            return j
+    return None
+
+
 def check_linear_quotients(gens) -> LinearQuotientsVerdict:
     """Check the linear-quotients condition for generators in the given order.
 
@@ -224,16 +245,9 @@ def check_linear_quotients(gens) -> LinearQuotientsVerdict:
         raise DegreeError(f"generators are not equigenerated: degrees {degs}")
     masks = [g.mask for g in gens]
     for i in range(1, len(masks)):
-        singles = 0
-        quotients = []
-        for k in range(i):
-            q = masks[k] & ~masks[i]
-            quotients.append(q)
-            if q.bit_count() == 1:
-                singles |= q
-        for j in range(i):
-            if quotients[j] & singles == 0:
-                return LinearQuotientsVerdict(False, (j + 1, i + 1))
+        j = _first_blocked(masks[:i], masks[i])
+        if j is not None:
+            return LinearQuotientsVerdict(False, (j + 1, i + 1))
     return LinearQuotientsVerdict(True)
 
 
@@ -261,19 +275,6 @@ def find_linear_quotients_order(
     dead: set[int] = set()
     states_seen = 0
 
-    def may_append(placed: int, cand: int) -> bool:
-        singles = 0
-        quotients = []
-        s = placed
-        while s:
-            k = (s & -s).bit_length() - 1
-            s &= s - 1
-            q = masks[k] & ~masks[cand]
-            quotients.append(q)
-            if q.bit_count() == 1:
-                singles |= q
-        return all(q & singles for q in quotients)
-
     def search(placed: int, order: list[int]) -> bool:
         nonlocal states_seen
         if placed == full:
@@ -285,10 +286,11 @@ def find_linear_quotients_order(
             raise BudgetError(
                 f"linear-quotients search exceeded {state_budget} states"
             )
+        earlier = [masks[k] for k in order]
         for cand in range(m):
             if placed >> cand & 1:
                 continue
-            if may_append(placed, cand):
+            if _first_blocked(earlier, masks[cand]) is None:
                 order.append(cand)
                 if search(placed | 1 << cand, order):
                     return True

@@ -32,22 +32,23 @@ DEFAULT_VERTEX_BUDGET = 24
 # subset-lattice primitives: the 2^b masks over b vertex bits, packed 64 to a
 # np.uint64 word.  Mask m is bit m & 63 of word m >> 6, so a lattice of
 # b >= 6 bits takes 2^(b-6) words and a smaller one a single word whose bits
-# from 2^b up stay clear.  No other module reads the format: homology gets
-# its faces from all_faces as a list of masks.
+# from 2^b up stay clear.  No other module reads the format: the lattice
+# serves complex_of_ideal and alexander_dual_complex alone.
 # ---------------------------------------------------------------------------
 
 _WORD_BITS = 6
-# _LOW_INT[k]: the bit positions p of a word with bit k of p clear
-_LOW_INT = (
-    0x5555555555555555,
-    0x3333333333333333,
-    0x0F0F0F0F0F0F0F0F,
-    0x00FF00FF00FF00FF,
-    0x0000FFFF0000FFFF,
-    0x00000000FFFFFFFF,
+# _LOW[k]: the bit positions p of a word with bit k of p clear
+_LOW = tuple(
+    np.uint64(c)
+    for c in (
+        0x5555555555555555,
+        0x3333333333333333,
+        0x0F0F0F0F0F0F0F0F,
+        0x00FF00FF00FF00FF,
+        0x0000FFFF0000FFFF,
+        0x00000000FFFFFFFF,
+    )
 )
-_LOW = tuple(np.uint64(c) for c in _LOW_INT)
-_BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
 def _pack(masks, bits: int) -> np.ndarray:
@@ -62,10 +63,6 @@ def _pack(masks, bits: int) -> np.ndarray:
 def _octets(words: np.ndarray) -> np.ndarray:
     """The words as bytes, masks 8i..8i+7 in byte i."""
     return words.astype("<u8", copy=False).view(np.uint8)
-
-
-def _popcount(words: np.ndarray) -> int:
-    return int(_BYTE_POPCOUNT[_octets(words)].sum())
 
 
 def _marked(words: np.ndarray) -> np.ndarray:
@@ -128,63 +125,6 @@ def minimal_true(words: np.ndarray, bits: int) -> list[int]:
     for k in range(bits):
         _or_across(dominated, words | dominated, k, down=False)
     return _marked(words & ~dominated).tolist()
-
-
-def _remap_bits(mask: int, target) -> int:
-    """The mask with each set bit k moved to bit target[k]."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        out |= 1 << target[low.bit_length() - 1]
-    return out
-
-
-def _check_face_budget(count: int, budget: int) -> None:
-    if count > budget:
-        raise SizeBudgetError(f"{count} faces exceed the budget of {budget}")
-
-
-def all_faces(facets, face_budget: int) -> list[int]:
-    """Every subset of some given facet, ascending, in the facets' bit positions.
-
-    The lattice spans only the vertex bits the facets use.  Raises when those
-    are more than DEFAULT_VERTEX_BUDGET, or when the faces (the empty face
-    included) number more than face_budget; the count comes before any face
-    is listed.
-    """
-    used = 0
-    for f in facets:
-        used |= f
-    positions = [k for k in range(used.bit_length()) if used >> k & 1]
-    bits = len(positions)
-    if bits > DEFAULT_VERTEX_BUDGET:
-        raise SizeBudgetError(
-            f"{bits} occupied vertices exceed the {DEFAULT_VERTEX_BUDGET}-bit lattice limit"
-        )
-    compress = {pos: k for k, pos in enumerate(positions)}
-    compressed = [_remap_bits(f, compress) for f in facets]
-    if bits <= _WORD_BITS:
-        # one word: the same closure steps on a Python int skip numpy's
-        # per-call cost, which dominates on the many small links of a CM check
-        word = 0
-        for m in compressed:
-            word |= 1 << m
-        for k in range(bits):
-            word |= word >> (1 << k) & _LOW_INT[k]
-        _check_face_budget(word.bit_count(), face_budget)
-        return [_remap_bits(m, positions) for m in range(1 << bits) if word >> m & 1]
-    faces = subset_closure(_pack(compressed, bits), bits)
-    _check_face_budget(_popcount(faces), face_budget)
-    small = _marked(faces).astype(np.uint64)
-    # move bit k back to bit positions[k], in 64-bit limbs of the result
-    limbs = [np.zeros_like(small) for _ in range(max(1, (used.bit_length() + 63) >> 6))]
-    for k, pos in enumerate(positions):
-        limbs[pos >> 6] |= ((small >> k) & 1) << (pos & 63)
-    out = limbs[0].tolist()
-    for index, limb in enumerate(limbs[1:], 1):
-        out = [a | b << (64 * index) for a, b in zip(out, limb.tolist())]
-    return out
 
 
 def vertex_label_str(label) -> str:
@@ -296,16 +236,14 @@ def _gen_masks_over(ideal: MonomialIdeal, vertices) -> list[int]:
     return masks
 
 
-def _check_vertex_budget(count: int, budget: int) -> None:
-    if count > budget:
+def _check_vertex_budget(count: int) -> None:
+    if count > DEFAULT_VERTEX_BUDGET:
         raise SizeBudgetError(
-            f"{count} vertices exceed the subset-lattice budget of {budget}"
+            f"{count} vertices exceed the subset-lattice budget of {DEFAULT_VERTEX_BUDGET}"
         )
 
 
-def complex_of_ideal(
-    ideal: MonomialIdeal, vertices, max_vertices: int = DEFAULT_VERTEX_BUDGET
-) -> SimplicialComplex:
+def complex_of_ideal(ideal: MonomialIdeal, vertices) -> SimplicialComplex:
     """The complex whose faces are the subsets containing no generator support.
 
     Inverse of the squarefree-ideal dictionary: the minimal nonfaces of the
@@ -314,22 +252,20 @@ def complex_of_ideal(
     vertices = tuple(vertices)
     if ideal.is_unit():
         raise UnitIdealError("the unit ideal corresponds to no complex")
-    _check_vertex_budget(len(vertices), max_vertices)
+    _check_vertex_budget(len(vertices))
     nv = len(vertices)
     nonfaces = superset_closure(_pack(_gen_masks_over(ideal, vertices), nv), nv)
     faces = _complement(nonfaces, nv)
     return SimplicialComplex(vertices, tuple(maximal_true(faces, nv)))
 
 
-def alexander_dual_complex(
-    cx: SimplicialComplex, max_vertices: int = DEFAULT_VERTEX_BUDGET
-) -> SimplicialComplex:
+def alexander_dual_complex(cx: SimplicialComplex) -> SimplicialComplex:
     """Complements of the nonfaces, i.e. facets = complements of minimal nonfaces.
 
     The full simplex has no nonfaces; its dual is the void complex, and
     dually the void complex maps back to the full simplex.
     """
-    _check_vertex_budget(len(cx.vertices), max_vertices)
+    _check_vertex_budget(len(cx.vertices))
     nv = len(cx.vertices)
     full = (1 << nv) - 1
     nonfaces = _complement(subset_closure(_pack(cx.facets, nv), nv), nv)
@@ -340,9 +276,7 @@ def alexander_dual_complex(
     return SimplicialComplex(cx.vertices, tuple(dual_facets))
 
 
-def dual_ideal_bruteforce(
-    ideal: MonomialIdeal, vertices, max_vertices: int = DEFAULT_VERTEX_BUDGET
-) -> MonomialIdeal:
+def dual_ideal_bruteforce(ideal: MonomialIdeal, vertices) -> MonomialIdeal:
     """Alexander dual by the complement-of-facets rule.
 
     Generators are the products of the vertices missing from each facet of
@@ -350,7 +284,7 @@ def dual_ideal_bruteforce(
     complex is the full simplex, whose lone facet has empty complement).
     """
     vertices = tuple(vertices)
-    cx = complex_of_ideal(ideal, vertices, max_vertices)
+    cx = complex_of_ideal(ideal, vertices)
     full = (1 << len(vertices)) - 1
     gens = []
     for f in cx.facets:

@@ -21,7 +21,13 @@ from .errors import (
     RangeError,
 )
 from .monomials import Monomial, MonomialIdeal, sort_gens
-from .posets import RelationFamily, composite_relation, reach_pairs, read_json
+from .posets import (
+    RelationFamily,
+    _union_of_rows,
+    composite_relation,
+    reach_pairs,
+    read_json,
+)
 
 Vertex = tuple  # (level, index), 1-based
 Edge = tuple  # ((a,i),(b,j)) with (a,i) < (b,j) and a != b
@@ -147,13 +153,9 @@ def edge_ideal(graph: MultipartiteGraph) -> MonomialIdeal:
     return MonomialIdeal(graph.r, graph.n, sort_gens(gens))
 
 
-def independence_complex(
-    graph: MultipartiteGraph, max_vertices: int = 24
-) -> SimplicialComplex:
+def independence_complex(graph: MultipartiteGraph) -> SimplicialComplex:
     """Faces are the independent vertex sets; facets the maximal ones."""
-    return complex_of_ideal(
-        edge_ideal(graph), grid_vertices(graph.r, graph.n), max_vertices
-    )
+    return complex_of_ideal(edge_ideal(graph), grid_vertices(graph.r, graph.n))
 
 
 def complement_is_chordal(graph: MultipartiteGraph) -> bool:
@@ -361,17 +363,7 @@ def check_theorem1(graph: MultipartiteGraph) -> ConditionReport:
         reach = [1 << i for i in range(n)]
         for b in range(a + 1, r + 1):
             step = cons[b - 2]
-            new_reach = []
-            for i in range(n):
-                m = 0
-                src = reach[i]
-                s = src
-                while s:
-                    t = (s & -s).bit_length() - 1
-                    s &= s - 1
-                    m |= step[t]
-                new_reach.append(m)
-            reach = new_reach
+            reach = [_union_of_rows(step, src) for src in reach]
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
                     has_path = bool(reach[i - 1] >> (j - 1) & 1)

@@ -13,11 +13,15 @@ Floating point never enters.  The empty face lives at dimension -1 and the
 augmentation map is included, so the profile of a nonempty connected
 complex starts with zeros.
 
+Faces are listed from the facets, each once as a child of its parent: the
+parent of a face F is F less its lowest vertex.  No subset lattice is built,
+so no vertex count bounds a complex; only the face budget does.
+
 The Cohen-Macaulay verdict follows the local-homology criterion: a complex
 is CM over the field iff for every face, every reduced homology rank of its
 link vanishes strictly below the link's dimension.  The oracle enumerates
-the complex's faces once and walks them level by level; the parent of a
-face F is F less its lowest vertex v, and the link of F is read off the
+the complex's faces once and walks them level by level along the same
+parent relation: with v the lowest vertex of F, the link of F is read off the
 parent's link as the facets (and faces) that contain v, with v removed.  No
 link is found by scanning the facets of the complex, and no link's face
 lattice is enumerated again: a link's faces are derived only when its facet
@@ -29,12 +33,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .duality import SimplicialComplex, _remap_bits, all_faces
+from .duality import SimplicialComplex
 from .errors import (
     InternalMismatchError,
     NotFaceError,
     ParseError,
     RangeError,
+    SizeBudgetError,
 )
 
 DEFAULT_FACE_BUDGET = 1 << 20
@@ -135,16 +140,43 @@ class CMCertificate:
 def _faces_by_dim(facets, face_budget: int) -> list[list[int]]:
     """Faces grouped by dimension, each group ascending.
 
-    Index 0 of the result holds dimension -1 (the empty face).  Raises when
-    the facets use more vertex bits than the subset lattice can afford or
-    when the total face count exceeds the budget.
+    Index 0 of the result holds dimension -1 (the empty face); a void facet
+    list gives no faces at all.  Each face is listed once, as a child of its
+    parent, the face less its lowest vertex: the children of F add one vertex
+    below F's lowest, taken from a facet that contains F, and the facets
+    containing each face are kept for one level.  Raises when one facet alone
+    has more subsets than the budget, and otherwise as soon as the faces
+    counted so far pass it.
     """
-    by_dim: list[list[int]] = [[]]
-    for face in all_faces(facets, face_budget):
-        d = face.bit_count()
-        while len(by_dim) <= d:
-            by_dim.append([])
-        by_dim[d].append(face)
+    facets = list(facets)
+    if not facets:
+        return [[]]
+    largest = 1 << max(f.bit_count() for f in facets)
+    if largest > face_budget:
+        raise SizeBudgetError(f"{largest} faces exceed the budget of {face_budget}")
+    by_dim = [[0]]
+    count = 1
+    # face -> the facets that contain it, for the faces of one size
+    level: dict[int, list[int]] = {0: facets}
+    while level:
+        children: dict[int, list[int]] = {}
+        for face, containing in level.items():
+            free = 0
+            for f in containing:
+                free |= f
+            free &= (face & -face) - 1  # all of it for the empty face
+            count += free.bit_count()
+            if count > face_budget:
+                raise SizeBudgetError(
+                    f"{count} faces exceed the budget of {face_budget}"
+                )
+            while free:
+                v = free & -free
+                free ^= v
+                children[face | v] = [f for f in containing if f & v]
+        if children:
+            by_dim.append(sorted(children))
+        level = children
     return by_dim
 
 
@@ -298,6 +330,16 @@ def _face_to_mask(cx: SimplicialComplex, face) -> int:
     for label in face:
         mask |= 1 << cx.vertex_index(label)
     return mask
+
+
+def _remap_bits(mask: int, target) -> int:
+    """The mask with each set bit k moved to bit target[k]."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out |= 1 << target[low.bit_length() - 1]
+    return out
 
 
 def link(cx: SimplicialComplex, face) -> SimplicialComplex:

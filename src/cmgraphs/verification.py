@@ -26,7 +26,6 @@ from .chains import (
 )
 from .duality import dual_hr_fast, dual_ideal_bruteforce, grid_vertices, complex_of_ideal
 from .graphs import (
-    MultipartiteGraph,
     build_complete_multipartite,
     check_family_conditions,
     check_theorem1,
@@ -112,15 +111,6 @@ def sample_family() -> RelationFamily:
         resources.files("cmgraphs").joinpath("data/sample_family.json").read_text()
     )
     return family_from_dict(doc)
-
-
-def packaged_graph(name: str) -> MultipartiteGraph:
-    from .graphs import graph_from_dict
-
-    doc = json.loads(
-        resources.files("cmgraphs").joinpath(f"data/{name}").read_text()
-    )
-    return graph_from_dict(doc)
 
 
 # ---------------------------------------------------------------------------

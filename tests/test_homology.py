@@ -29,7 +29,7 @@ from cmgraphs import (
     reduced_homology,
 )
 from cmgraphs.graphs import cycle_graph
-from cmgraphs.homology import _rank_sparse
+from cmgraphs.homology import _faces_by_dim, _rank_sparse
 from cmgraphs.verification import random_squarefree_ideal
 
 
@@ -195,10 +195,50 @@ def test_face_budget_is_enforced():
     wide = SimplicialComplex.make(tuple(range(25)), [(1 << 25) - 1])
     with pytest.raises(SizeBudgetError):
         reduced_homology(wide)
-    # 2^22 faces fit the lattice but not the default face budget
+    # one facet on 22 vertices has 2^22 faces, more than the default face budget
     simplex22 = SimplicialComplex.make(tuple(range(22)), [(1 << 22) - 1])
     with pytest.raises(SizeBudgetError, match="faces exceed the budget"):
         reduced_homology(simplex22)
+
+
+def test_faces_by_dim_matches_all_subsets_reference():
+    assert _faces_by_dim([], face_budget=1) == [[]]
+    rng = random.Random(2024)
+    for bits in range(9):
+        for _ in range(12):
+            chosen = {rng.randrange(1 << bits) for _ in range(rng.randint(0, 6))}
+            # the facets spread over scattered positions, some past bit 64
+            positions = sorted(rng.sample(range(80), bits))
+            spread = [sum(1 << positions[k] for k in range(bits) if m >> k & 1) for m in chosen]
+            down = [x for x in range(1 << bits) if any(x & ~m == 0 for m in chosen)]
+            want = sorted(sum(1 << positions[k] for k in range(bits) if x >> k & 1) for x in down)
+            by_dim = [[]] if not want else [
+                [f for f in want if f.bit_count() == d]
+                for d in range(max(f.bit_count() for f in want) + 1)
+            ]
+            assert _faces_by_dim(spread, face_budget=len(want)) == by_dim
+            if want:
+                with pytest.raises(SizeBudgetError, match="faces exceed the budget"):
+                    _faces_by_dim(spread, face_budget=len(want) - 1)
+
+
+def test_thirty_vertex_cycles_need_no_vertex_limit():
+    def cycles(*lengths):
+        edges, start = [], 0
+        for length in lengths:
+            edges += [
+                1 << (start + k) | 1 << (start + (k + 1) % length) for k in range(length)
+            ]
+            start += length
+        return SimplicialComplex.make(tuple(range(start)), edges)
+
+    circle = cycles(30)
+    assert reduced_homology(circle).nonzero() == ((1, 1),)
+    for field in (GF2, gfp(3), RATIONAL):
+        assert is_cohen_macaulay(circle, field).verdict
+    split = is_cohen_macaulay(cycles(15, 15))
+    assert not split.verdict
+    assert split.witness == ((), 0, 1)
 
 
 def test_link_of_vertex_in_sphere_is_a_circle():
