@@ -10,6 +10,10 @@ quadratic generators read off a relation family directly.  The two must
 agree on every family; that equality is the core verification target of the
 whole package.
 
+The complex of an ideal and the Alexander dual of a complex both come from
+one pure-Python minimal-transversal kernel, so neither has a vertex limit,
+only a work budget.
+
 Lattice conventions: the void complex (no faces at all) has facets == (),
 the empty complex {∅} has facets == (0,).  They are distinct and both
 legal.  Duality swaps the full simplex and the void complex.
@@ -19,112 +23,57 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import RangeError, SizeBudgetError, UnitIdealError
 from .monomials import Monomial, MonomialIdeal, minimalize, sort_gens
 from .posets import RelationFamily, reach_pairs
 
-DEFAULT_VERTEX_BUDGET = 24
-
-
 # ---------------------------------------------------------------------------
-# subset-lattice primitives: the 2^b masks over b vertex bits, packed 64 to a
-# np.uint64 word.  Mask m is bit m & 63 of word m >> 6, so a lattice of
-# b >= 6 bits takes 2^(b-6) words and a smaller one a single word whose bits
-# from 2^b up stay clear.  No other module reads the format: the lattice
-# serves complex_of_ideal and alexander_dual_complex alone.
+# minimal transversals: the one kernel behind complex_of_ideal and
+# alexander_dual_complex.  A squarefree ideal's complex has as facets the
+# complements of the minimal transversals of the generator supports, and a
+# complex's Alexander dual those of the facet complements (Berge, Hypergraphs,
+# 1989).  The work is bounded by TRANSVERSAL_BUDGET, which counts pair tests
+# plus transversals made and so bounds time and memory alike.
 # ---------------------------------------------------------------------------
 
-_WORD_BITS = 6
-# _LOW[k]: the bit positions p of a word with bit k of p clear
-_LOW = tuple(
-    np.uint64(c)
-    for c in (
-        0x5555555555555555,
-        0x3333333333333333,
-        0x0F0F0F0F0F0F0F0F,
-        0x00FF00FF00FF00FF,
-        0x0000FFFF0000FFFF,
-        0x00000000FFFFFFFF,
-    )
-)
+TRANSVERSAL_BUDGET = 1 << 24
 
 
-def _pack(masks, bits: int) -> np.ndarray:
-    """The lattice of `bits` vertex bits with the given masks marked."""
-    words = np.zeros(1 << max(bits - _WORD_BITS, 0), dtype=np.uint64)
-    idx = np.fromiter(masks, dtype=np.int64)
-    bit = np.left_shift(np.uint64(1), (idx & 63).astype(np.uint64))
-    np.bitwise_or.at(words, idx >> _WORD_BITS, bit)
-    return words
+def _minimal_transversals(sets) -> list[int]:
+    """The minimal masks that meet every given mask, by Berge's algorithm.
 
-
-def _octets(words: np.ndarray) -> np.ndarray:
-    """The words as bytes, masks 8i..8i+7 in byte i."""
-    return words.astype("<u8", copy=False).view(np.uint8)
-
-
-def _marked(words: np.ndarray) -> np.ndarray:
-    """The marked masks, ascending, as int64."""
-    octets = _octets(words)
-    at = np.flatnonzero(octets)
-    row, col = np.nonzero(np.unpackbits(octets[at], bitorder="little").reshape(-1, 8))
-    return (at[row] << 3) | col
-
-
-def _complement(words: np.ndarray, bits: int) -> np.ndarray:
-    out = ~words
-    if bits < _WORD_BITS:
-        out &= np.uint64((1 << (1 << bits)) - 1)
-    return out
-
-
-def _or_across(dst: np.ndarray, src: np.ndarray, k: int, down: bool) -> None:
-    """dst[m] |= src[m ^ 1<<k] for every mask m without bit k (down) or with it (up)."""
-    if k < _WORD_BITS:
-        s = 1 << k
-        dst |= (src >> s) & _LOW[k] if down else (src & _LOW[k]) << s
-        return
-    dview = dst.reshape(-1, 2, 1 << (k - _WORD_BITS))
-    sview = src.reshape(-1, 2, 1 << (k - _WORD_BITS))
-    if down:
-        dview[:, 0, :] |= sview[:, 1, :]
-    else:
-        dview[:, 1, :] |= sview[:, 0, :]
-
-
-def subset_closure(words: np.ndarray, bits: int) -> np.ndarray:
-    """Mark every subset of a marked mask (closure includes the mask itself)."""
-    out = words.copy()
-    for k in range(bits):
-        _or_across(out, out, k, down=True)
-    return out
-
-
-def superset_closure(words: np.ndarray, bits: int) -> np.ndarray:
-    """Mark every superset of a marked mask."""
-    out = words.copy()
-    for k in range(bits):
-        _or_across(out, out, k, down=False)
-    return out
-
-
-def maximal_true(words: np.ndarray, bits: int) -> list[int]:
-    """Masks that are marked and have no marked strict superset, ascending."""
-    # dominated[m] = some strict superset of m is marked
-    dominated = np.zeros_like(words)
-    for k in range(bits):
-        _or_across(dominated, words | dominated, k, down=True)
-    return _marked(words & ~dominated).tolist()
-
-
-def minimal_true(words: np.ndarray, bits: int) -> list[int]:
-    """Masks that are marked and have no marked strict subset, ascending."""
-    dominated = np.zeros_like(words)
-    for k in range(bits):
-        _or_across(dominated, words | dominated, k, down=False)
-    return _marked(words & ~dominated).tolist()
+    The sets are added one at a time.  A transversal t that misses the next
+    set e is replaced by t | v for each vertex v of e, except where some
+    transversal h that meets e has h & ~t == v (then h lies inside t | v).
+    Grown sets never contain each other or a kept one, so the result is an
+    antichain as built.  No sets give [0]; a family containing 0 gives [].
+    """
+    trans = [0]
+    work = 0
+    for e in sorted(set(sets), key=lambda m: (m.bit_count(), -m)):
+        hit: list[int] = []
+        missed: list[int] = []
+        for t in trans:
+            (hit if t & e else missed).append(t)
+        grown: list[int] = []
+        for t in missed:
+            blocked, outside = 0, ~t
+            for h in hit:
+                d = h & outside
+                if d & (d - 1) == 0:
+                    blocked |= d
+            rest = e & ~blocked
+            work += len(hit) + rest.bit_count()
+            if work > TRANSVERSAL_BUDGET:
+                raise SizeBudgetError(
+                    f"minimal transversals exceed the budget of {TRANSVERSAL_BUDGET} steps"
+                )
+            while rest:
+                v = rest & -rest
+                grown.append(t | v)
+                rest ^= v
+        trans = hit + grown
+    return trans
 
 
 def vertex_label_str(label) -> str:
@@ -236,44 +185,33 @@ def _gen_masks_over(ideal: MonomialIdeal, vertices) -> list[int]:
     return masks
 
 
-def _check_vertex_budget(count: int) -> None:
-    if count > DEFAULT_VERTEX_BUDGET:
-        raise SizeBudgetError(
-            f"{count} vertices exceed the subset-lattice budget of {DEFAULT_VERTEX_BUDGET}"
-        )
-
-
 def complex_of_ideal(ideal: MonomialIdeal, vertices) -> SimplicialComplex:
     """The complex whose faces are the subsets containing no generator support.
 
     Inverse of the squarefree-ideal dictionary: the minimal nonfaces of the
-    result are exactly the supports of the minimal generators.
+    result are exactly the supports of the minimal generators, so its facets
+    are the complements of their minimal transversals.
     """
     vertices = tuple(vertices)
     if ideal.is_unit():
         raise UnitIdealError("the unit ideal corresponds to no complex")
-    _check_vertex_budget(len(vertices))
-    nv = len(vertices)
-    nonfaces = superset_closure(_pack(_gen_masks_over(ideal, vertices), nv), nv)
-    faces = _complement(nonfaces, nv)
-    return SimplicialComplex(vertices, tuple(maximal_true(faces, nv)))
+    full = (1 << len(vertices)) - 1
+    facets = [full ^ t for t in _minimal_transversals(_gen_masks_over(ideal, vertices))]
+    facets.sort(key=lambda m: (m.bit_count(), m))
+    return SimplicialComplex(vertices, tuple(facets))
 
 
 def alexander_dual_complex(cx: SimplicialComplex) -> SimplicialComplex:
     """Complements of the nonfaces, i.e. facets = complements of minimal nonfaces.
 
-    The full simplex has no nonfaces; its dual is the void complex, and
-    dually the void complex maps back to the full simplex.
+    The minimal nonfaces are the minimal transversals of the facet
+    complements.  The full simplex has no nonfaces; its dual is the void
+    complex, and dually the void complex maps back to the full simplex.
     """
-    _check_vertex_budget(len(cx.vertices))
-    nv = len(cx.vertices)
-    full = (1 << nv) - 1
-    nonfaces = _complement(subset_closure(_pack(cx.facets, nv), nv), nv)
-    if not nonfaces.any():
-        return SimplicialComplex(cx.vertices, ())
-    dual_facets = [full ^ m for m in minimal_true(nonfaces, nv)]
-    dual_facets.sort(key=lambda m: (m.bit_count(), m))
-    return SimplicialComplex(cx.vertices, tuple(dual_facets))
+    full = (1 << len(cx.vertices)) - 1
+    facets = [full ^ t for t in _minimal_transversals(full ^ f for f in cx.facets)]
+    facets.sort(key=lambda m: (m.bit_count(), m))
+    return SimplicialComplex(cx.vertices, tuple(facets))
 
 
 def dual_ideal_bruteforce(ideal: MonomialIdeal, vertices) -> MonomialIdeal:

@@ -204,6 +204,28 @@ def test_cm_field_flag(capsys, graph_file):
     assert "E_PARSE" in err
 
 
+def test_identity_grid_of_25_vertices(capsys, write_json):
+    # the 5x5 identity family: Ind(G) has one facet per chain, 5^5 of them
+    path = write_json({"n": 5, "r": 5, "relations": []})
+    rc, out, _ = run(capsys, "graph", "cm", path)
+    assert rc == 0
+    assert "independence complex: 3125 facets" in out
+    assert "Cohen-Macaulay over gf2: yes" in out
+    rc, out, _ = run(capsys, "dual", path, "--verify")
+    assert rc == 0
+    assert "verified: brute-force dual agrees" in out
+
+
+def test_import_leaves_numpy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, cmgraphs.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_console_script_entry_point(sample_path):
     proc = subprocess.run(
         [sys.executable, "-m", "cmgraphs.cli", "hr", "build", sample_path],

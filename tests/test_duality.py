@@ -2,7 +2,6 @@
 
 import random
 
-import numpy as np
 import pytest
 
 from cmgraphs import (
@@ -21,14 +20,8 @@ from cmgraphs import (
     minimalize,
 )
 from cmgraphs import RelationFamily
-from cmgraphs.duality import (
-    _complement,
-    _pack,
-    maximal_true,
-    minimal_true,
-    subset_closure,
-    superset_closure,
-)
+from cmgraphs import duality
+from cmgraphs.duality import _minimal_transversals
 from cmgraphs.verification import random_family, random_squarefree_ideal
 
 # Quadratic generators of the dual of the worked example: one X[s,i]*X[t,j]
@@ -53,73 +46,24 @@ SAMPLE_DUAL_GENERATORS = frozenset(
 )
 
 
-def flags_from(bits, masks):
-    """The packed lattice: mask m is bit m & 63 of word m >> 6."""
-    out = np.zeros(1 << max(bits - 6, 0), dtype=np.uint64)
-    for m in masks:
-        out[m >> 6] |= np.uint64(1 << (m & 63))
-    return out
-
-
-def is_marked(words, m):
-    return int(words[m >> 6]) >> (m & 63) & 1 == 1
-
-
-def marked_set(words, bits):
-    return {m for m in range(1 << bits) if is_marked(words, m)}
-
-
-def test_subset_and_superset_closures():
-    down = subset_closure(flags_from(3, [0b101]), 3)
-    assert {m for m in range(8) if is_marked(down, m)} == {0b000, 0b001, 0b100, 0b101}
-    up = superset_closure(flags_from(3, [0b001]), 3)
-    assert {m for m in range(8) if is_marked(up, m)} == {m for m in range(8) if m & 1}
-
-
-def test_packed_kernels_match_all_subsets_reference():
-    # b = 0..8 puts lattices inside one word and across several, so both
-    # the in-word shifts and the word-view steps are checked
+def test_minimal_transversals_match_all_subsets_reference():
+    # b = 0..8 vertex bits spread over positions up to 79, so masks pass the
+    # 64-bit word size; the input sets may be empty, repeated or nested
     rng = random.Random(2024)
     for bits in range(9):
-        universe = range(1 << bits)
         for _ in range(12):
-            chosen = {rng.randrange(1 << bits) for _ in range(rng.randint(0, 6))}
-            words = flags_from(bits, chosen)
-            assert np.array_equal(_pack(chosen, bits), words)
-            down = {x for x in universe if any(x & ~m == 0 for m in chosen)}
-            up = {x for x in universe if any(m & ~x == 0 for m in chosen)}
-            assert marked_set(subset_closure(words, bits), bits) == down
-            assert marked_set(superset_closure(words, bits), bits) == up
-            assert maximal_true(words, bits) == sorted(
-                m for m in chosen if not any(m != x and m & ~x == 0 for x in chosen)
-            )
-            assert minimal_true(words, bits) == sorted(
-                m for m in chosen if not any(m != x and x & ~m == 0 for x in chosen)
-            )
-            comp = _complement(words, bits)
-            assert marked_set(comp, bits) == set(universe) - chosen
-            # the bits past 2^b of a one-word lattice stay clear
-            assert sum(int(w).bit_count() for w in comp) == (1 << bits) - len(chosen)
-
-
-def test_maximal_and_minimal_true():
-    flags = flags_from(3, [0b000, 0b001, 0b100, 0b101, 0b010])
-    assert set(maximal_true(flags, 3)) == {0b101, 0b010}
-    up = superset_closure(flags_from(3, [0b011]), 3)
-    assert minimal_true(up, 3) == [0b011]
-
-
-def test_maximal_true_covers_everything():
-    rng = random.Random(42)
-    for _ in range(20):
-        masks = [rng.randrange(1 << 6) for _ in range(rng.randint(1, 12))]
-        flags = flags_from(6, masks)
-        tops = maximal_true(flags, 6)
-        for m in masks:
-            assert any(m & ~t == 0 for t in tops)
-        for a in tops:
-            for b in tops:
-                assert a == b or a & ~b != 0
+            positions = rng.sample(range(80), bits)
+            subsets = [
+                sum(1 << positions[k] for k in range(bits) if x >> k & 1)
+                for x in range(1 << bits)
+            ]
+            sets = [rng.choice(subsets) for _ in range(rng.randint(0, 6))]
+            hitting = [x for x in subsets if all(x & e for e in sets)]
+            want = sorted(x for x in hitting if not any(y != x and y & ~x == 0 for y in hitting))
+            assert sorted(_minimal_transversals(sets)) == want, sets
+    assert _minimal_transversals([]) == [0]
+    assert _minimal_transversals([0b110, 0]) == []
+    assert sorted(_minimal_transversals([0b011, 0b111, 0b110, 0b011])) == [0b010, 0b101]
 
 
 def test_complex_make_prunes_to_facets():
@@ -167,10 +111,39 @@ def test_complex_of_ideal_rejects_unit():
         complex_of_ideal(unit, grid_vertices(1, 2))
 
 
-def test_complex_of_ideal_budget():
-    ideal = MonomialIdeal(5, 5, (Monomial.from_variables(5, 5, [(1, 1)]),))
+def test_complex_of_ideal_budget(monkeypatch):
+    # a matching of k edges makes 2 + 4 + ... + 2^k transversals and tests
+    # no pairs: no transversal meets the next edge
+    verts = grid_vertices(2, 10)
+    matching = minimalize([Monomial.from_variables(2, 10, [(1, i), (2, i)]) for i in range(1, 11)])
+    monkeypatch.setattr(duality, "TRANSVERSAL_BUDGET", 2**11 - 2)
+    assert len(complex_of_ideal(matching, verts).facets) == 2**10
+    monkeypatch.setattr(duality, "TRANSVERSAL_BUDGET", 2**11 - 3)
+    with pytest.raises(SizeBudgetError, match="minimal transversals exceed the budget"):
+        complex_of_ideal(matching, verts)
+    # a triangle makes 2 + 1 + 2 transversals and tests 1 + 1 pairs; eight
+    # disjoint ones make 16400 transversals but test over 10^7 pairs
+    triangle = [0b110, 0b101, 0b011]
+    monkeypatch.setattr(duality, "TRANSVERSAL_BUDGET", 7)
+    assert sorted(_minimal_transversals(triangle)) == [0b011, 0b101, 0b110]
+    monkeypatch.setattr(duality, "TRANSVERSAL_BUDGET", 6)
     with pytest.raises(SizeBudgetError):
-        complex_of_ideal(ideal, grid_vertices(5, 5))
+        _minimal_transversals(triangle)
+    triangles = [m << 3 * k for k in range(8) for m in triangle]
+    monkeypatch.setattr(duality, "TRANSVERSAL_BUDGET", 100_000)
+    with pytest.raises(SizeBudgetError):
+        _minimal_transversals(triangles)
+
+
+def test_complex_of_ideal_lists_facets_in_canonical_order():
+    # the (size, mask) order of SimplicialComplex.make, so equal complexes
+    # compare equal however they were built
+    rng = random.Random(3)
+    for _ in range(500):
+        ideal = random_squarefree_ideal(rng)
+        verts = grid_vertices(ideal.r, ideal.n)
+        cx = complex_of_ideal(ideal, verts)
+        assert cx == SimplicialComplex.make(verts, cx.facets)
 
 
 def test_zero_ideal_gives_full_simplex():

@@ -1,7 +1,8 @@
 """Generated-family properties: the three dual routes agree, both chain
 orders extend componentwise inclusion, and the facets of the family graph's
 independence complex are the complements of the chain-monomial supports.
-Generated-complex property: the CM verdict does not depend on vertex order."""
+Generated-ideal and generated-complex properties: the double dual is the
+identity, and the CM verdict does not depend on vertex order."""
 
 import random
 
@@ -14,8 +15,10 @@ from hypothesis import strategies as st  # noqa: E402
 from cmgraphs import (  # noqa: E402
     GF2,
     RATIONAL,
+    Monomial,
     RelationFamily,
     SimplicialComplex,
+    alexander_dual_complex,
     build_hr,
     chain_compare,
     chain_monomial,
@@ -28,6 +31,7 @@ from cmgraphs import (  # noqa: E402
     independence_complex,
     is_cohen_macaulay,
     linear_extension,
+    minimalize,
     random_linear_extension,
 )
 
@@ -68,6 +72,31 @@ def test_independence_facets_are_chain_monomial_complements(fam):
     facets = independence_complex(graph_of_family(fam)).facets
     assert len(facets) == len(chains)
     assert set(facets) == want
+
+
+@st.composite
+def wide_ideals(draw):
+    """Squarefree ideals on the 4 x 10 grid, so supports reach past position 24."""
+    supports = draw(
+        st.lists(st.sets(st.integers(0, 39), min_size=1, max_size=4), min_size=1, max_size=4)
+    )
+    return minimalize([Monomial(4, 10, sum(1 << p for p in s)) for s in supports])
+
+
+@st.composite
+def wide_complexes(draw):
+    """Complexes on 30 vertices whose facets each miss one to four."""
+    missing = draw(st.lists(st.sets(st.integers(0, 29), min_size=1, max_size=4), max_size=6))
+    full = (1 << 30) - 1
+    return SimplicialComplex.make(range(30), [full ^ sum(1 << p for p in m) for m in missing])
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(wide_ideals(), wide_complexes())
+def test_double_dual_is_the_identity(ideal, cx):
+    verts = grid_vertices(4, 10)
+    assert dual_ideal_bruteforce(dual_ideal_bruteforce(ideal, verts), verts) == ideal
+    assert alexander_dual_complex(alexander_dual_complex(cx)) == cx
 
 
 @st.composite
