@@ -140,13 +140,16 @@ def linear_extension(chains) -> ChainOrder:
     """Canonical total order: total cardinality, then bitmask-tuple lex.
 
     Total cardinality strictly increases along componentwise strict
-    inclusion, so this sort is always a linear extension.  The assertion
-    checks the sort in one pass: the chains are pairwise distinct and their
-    total cardinality never decreases, so no chain lies below an earlier one.
+    inclusion, so this sort is always a linear extension.  One pass checks
+    it: the sorted keys strictly increase, so the chains are pairwise
+    distinct and no chain lies below an earlier one.  A chain given twice
+    raises ChainError.
     """
     ordered = tuple(sorted(chains, key=_chain_sort_key))
     keys = [_chain_sort_key(c) for c in ordered]
-    assert all(x < y for x, y in zip(keys, keys[1:]))
+    for x, y in zip(keys, keys[1:]):
+        if x >= y:
+            raise ChainError(f"chain {y[1]} is given more than once")
     return ChainOrder(ordered)
 
 
@@ -189,7 +192,10 @@ def random_linear_extension(chains, rng: random.Random) -> ChainOrder:
         pos = rng.randrange(len(ready))
         ready[pos], ready[-1] = ready[-1], ready[pos]
         pick = ready.pop()
-        assert below[pick] & ~placed == 0
+        if below[pick] & ~placed:
+            raise InternalMismatchError(
+                f"chain {chains[pick]} placed before a chain below it"
+            )
         placed |= 1 << pick
         order.append(pick)
         for k in succs[pick]:
@@ -210,25 +216,56 @@ class LinearQuotientsVerdict:
         return self.passed
 
 
-def _first_blocked(earlier: list[int], u: int) -> int | None:
-    """Position of the first earlier support whose quotient meets no one-variable quotient.
+# _DIGITS[k] maps a byte to the ASCII digit of its bit k
+_DIGITS = tuple(bytes(48 | b >> k & 1 for b in range(256)) for k in range(8))
 
-    The quotient of an earlier u_j is the support of u_j/gcd(u_j,u), that is
-    earlier[j] & ~u.  It passes when it contains a variable that is itself
-    the whole quotient of some earlier generator; None when every one passes.
+
+def _columns(masks: list[int]) -> tuple[int, dict[int, int]]:
+    """The union of the masks, and the masks transposed into variable columns.
+
+    The column of a variable v, keyed by 1 << v, has bit k set exactly when
+    masks[k] holds v; only variables of the union get one.  The masks are
+    packed big-endian, last first, so the strided byte slice holding bit v of
+    every mask, read as binary digits, is the column.
     """
-    outside = ~u
-    singles = 0
-    quotients = []
-    for m in earlier:
-        q = m & outside
-        quotients.append(q)
-        if q.bit_count() == 1:
-            singles |= q
-    for j, q in enumerate(quotients):
-        if q & singles == 0:
-            return j
-    return None
+    union = 0
+    for m in masks:
+        union |= m
+    width = (union.bit_length() + 7) // 8
+    packed = b"".join([m.to_bytes(width, "big") for m in reversed(masks)])
+    columns = {}
+    for v in range(union.bit_length()):
+        if union >> v & 1:
+            digits = packed[width - 1 - v // 8 :: width].translate(_DIGITS[v % 8])
+            columns[1 << v] = int(digits, 2)
+    return union, columns
+
+
+def _blocked(columns: dict[int, int], earlier: int, outside: int) -> int:
+    """The positions of `earlier` whose quotient meets no one-variable quotient.
+
+    For a generator u, the quotient of an earlier u_k is the support of
+    u_k/gcd(u_k,u): the variables of `outside` (the union minus u) whose
+    column holds k.  Bit-sliced counters over those columns give the
+    positions whose quotient is exactly one variable; a variable whose column
+    meets them is such a quotient itself, and every position its column holds
+    passes.  A repeated generator has the empty quotient and never passes.
+    """
+    ones = twos = 0
+    cols = []
+    while outside:
+        low = outside & -outside
+        outside ^= low
+        col = columns[low] & earlier
+        twos |= ones & col
+        ones |= col
+        cols.append(col)
+    exact = ones & ~twos
+    cover = 0
+    for col in cols:
+        if col & exact:
+            cover |= col
+    return earlier & ~cover
 
 
 def check_linear_quotients(gens) -> LinearQuotientsVerdict:
@@ -237,17 +274,20 @@ def check_linear_quotients(gens) -> LinearQuotientsVerdict:
     Pass iff for every position i and every j < i some k < i has
     u_k/gcd(u_k,u_i) equal to a single variable dividing u_j/gcd(u_j,u_i).
     Positions are 1-based; on failure the first offending (j, i) is the
-    witness.
+    witness.  Each i is decided at once over the variable columns of the
+    generators (see _blocked), not pair by pair.
     """
     gens = list(gens)
     if len({g.degree() for g in gens}) > 1:
         degs = sorted({g.degree() for g in gens})
         raise DegreeError(f"generators are not equigenerated: degrees {degs}")
     masks = [g.mask for g in gens]
+    union, columns = _columns(masks)
     for i in range(1, len(masks)):
-        j = _first_blocked(masks[:i], masks[i])
-        if j is not None:
-            return LinearQuotientsVerdict(False, (j + 1, i + 1))
+        blocked = _blocked(columns, (1 << i) - 1, union & ~masks[i])
+        if blocked:
+            j = (blocked & -blocked).bit_length()  # 1-based lowest blocked
+            return LinearQuotientsVerdict(False, (j, i + 1))
     return LinearQuotientsVerdict(True)
 
 
@@ -271,6 +311,7 @@ def find_linear_quotients_order(
     if m <= 1:
         return tuple(gens)
     masks = [g.mask for g in gens]
+    union, columns = _columns(masks)
     full = (1 << m) - 1
     dead: set[int] = set()
     states_seen = 0
@@ -286,11 +327,10 @@ def find_linear_quotients_order(
             raise BudgetError(
                 f"linear-quotients search exceeded {state_budget} states"
             )
-        earlier = [masks[k] for k in order]
         for cand in range(m):
             if placed >> cand & 1:
                 continue
-            if _first_blocked(earlier, masks[cand]) is None:
+            if not _blocked(columns, placed, union & ~masks[cand]):
                 order.append(cand)
                 if search(placed | 1 << cand, order):
                     return True

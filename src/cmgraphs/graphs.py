@@ -15,6 +15,7 @@ import networkx as nx
 
 from .duality import SimplicialComplex, complex_of_ideal, grid_vertices
 from .errors import (
+    InternalMismatchError,
     OverflowInputError,
     ParseError,
     PartsError,
@@ -171,13 +172,16 @@ def complement_is_chordal(graph: MultipartiteGraph) -> bool:
 
 
 def edge_count_expected(n: int, r: int) -> int:
-    """Edge count of the fully complete construction, with the closed form asserted."""
+    """Edge count of the fully complete construction, with the closed form checked."""
     if not (isinstance(n, int) and isinstance(r, int)) or n < 1 or r < 2:
         raise RangeError(f"need integers n >= 1 and r >= 2, got n={n!r}, r={r!r}")
     if (r - 1) * n > 10**6:
         raise OverflowInputError(f"grid of {(r - 1) * n} vertices is beyond any desk scale")
     count = n * n * comb(r - 1, 2) + (r - 1) * comb(n + 1, 2)
-    assert count == comb((r - 1) * n + 1, 2)
+    if count != comb((r - 1) * n + 1, 2):
+        raise InternalMismatchError(
+            f"edge count {count} != C({(r - 1) * n + 1}, 2) for n={n}, r={r}"
+        )
     return count
 
 

@@ -282,8 +282,12 @@ def reduced_homology(
 
     The empty face is a genuine generator at dimension -1 and the
     augmentation map is the boundary out of dimension 0, so rank(-1) is 1
-    exactly for the complex {∅}.  An internal Euler-characteristic
-    consistency assertion runs on every call.
+    exactly for the complex {∅}.  The guard on every call is that each rank
+    f_d - rank ∂_d - rank ∂_{d+1} is nonnegative, with ∂_d the boundary out
+    of dimension d: a boundary rank that overcounts drives one below zero
+    and raises InternalMismatchError.  The Euler comparison after it cannot
+    fire, since the alternating sum of those ranks telescopes to that of the
+    face counts for any boundary ranks.
     """
     if cx.is_void():
         raise ValueError("the void complex has no reduced homology profile")

@@ -20,6 +20,7 @@ from .errors import (
     ChainError,
     IndexOrderError,
     InputError,
+    InternalMismatchError,
     LevelError,
     ParseError,
     RangeError,
@@ -188,8 +189,11 @@ def close_relation(n: int, pairs) -> Relation:
             if rows[i] & bit:
                 rows[i] |= rows[k]
     rel = Relation(n, tuple(rows))
-    assert rel.transitivity_witness() is None
-    assert rel.monotonicity_witness() is None
+    witness = rel.transitivity_witness() or rel.monotonicity_witness()
+    if witness is not None:
+        raise InternalMismatchError(
+            f"closure is not an index-monotone partial order: witness {witness}"
+        )
     return rel
 
 

@@ -363,7 +363,9 @@ def criterion_8_structural_identities(families, ideals) -> tuple[bool, str]:
         if double.masks() != ideal.masks():
             problems.append(f"double dual differs on ideal #{k}")
             break
-        # every homology call re-asserts the Euler identity internally
+        # every homology call raises on a negative rank, which an
+        # overcounted boundary rank produces; its Euler comparison is an
+        # identity of the rank formula and cannot fire
         cx = complex_of_ideal(ideal, verts)
         reduced_homology(cx, GF2)
         reduced_homology(cx, RATIONAL)

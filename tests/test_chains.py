@@ -1,6 +1,7 @@
 """Chain enumeration, chain monomials, linear quotients, gamma chains."""
 
 import random
+from itertools import permutations
 
 import pytest
 
@@ -20,6 +21,7 @@ from cmgraphs import (
     gamma_certificate,
     gamma_chain,
     linear_extension,
+    minimalize,
     random_linear_extension,
 )
 from cmgraphs.verification import random_family
@@ -162,6 +164,12 @@ def test_linear_extension_respects_inclusion(sample):
             assert_respects_inclusion(order)
 
 
+def test_linear_extension_rejects_a_repeated_chain(sample):
+    chains = enumerate_chains(sample)
+    with pytest.raises(ChainError, match="more than once"):
+        linear_extension([*chains, chains[4]])
+
+
 def test_random_linear_extension_is_seed_deterministic(sample):
     chains = enumerate_chains(sample)
     a = random_linear_extension(chains, random.Random(7))
@@ -182,6 +190,92 @@ def test_linear_quotients_pass_on_sample_orders(sample):
         order = random_linear_extension(chains, rng)
         gens = [chain_monomial(sample, c) for c in order.chains]
         assert check_linear_quotients(gens).passed
+
+
+def lq_reference(masks):
+    """The linear-quotients rule pair by pair: the first failing 1-based (j, i), or None.
+
+    Pass iff for each i and each j < i some k < i has u_k/gcd(u_k,u_i) equal
+    to one variable that divides u_j/gcd(u_j,u_i).  On masks the quotient
+    u_k/gcd(u_k,u_i) is u_k & ~u_i.
+    """
+    for i in range(1, len(masks)):
+        for j in range(i):
+            q_j = masks[j] & ~masks[i]
+            if not any(
+                (masks[k] & ~masks[i]).bit_count() == 1
+                and (masks[k] & ~masks[i]) & ~q_j == 0
+                for k in range(i)
+            ):
+                return (j + 1, i + 1)
+    return None
+
+
+def lq_verdict(masks):
+    verdict = check_linear_quotients([Monomial(1, 80, m) for m in masks])
+    assert verdict.passed == (verdict.witness is None)
+    return verdict.witness
+
+
+def test_linear_quotients_match_pair_reference_on_random_ideals():
+    rng = random.Random(4242)
+    failing = repeated = wide = 0
+    for _ in range(1500):
+        top = rng.choice([4, 8, 24, 64, 80])
+        d = rng.randint(1, min(top, 6))
+        pool = rng.sample(range(top), min(top, d + rng.randint(0, 4)))
+        masks = [sum(1 << v for v in rng.sample(pool, d)) for _ in range(rng.randint(1, 12))]
+        if len(masks) > 1 and rng.random() < 0.3:
+            masks[rng.randrange(len(masks))] = masks[rng.randrange(len(masks))]
+        want = lq_reference(masks)
+        assert lq_verdict(masks) == want, masks
+        failing += want is not None
+        repeated += len(set(masks)) < len(masks)
+        wide += max(masks) >> 64 > 0
+    assert 300 < failing < 1400
+    assert repeated > 100 and wide > 100
+
+
+def test_linear_quotients_match_pair_reference_on_chain_orders():
+    rng = random.Random(2718)
+    for _ in range(40):
+        fam = random_family(rng, max_n=3, max_r=4)
+        chains = enumerate_chains(fam)
+        monomial = {c: chain_monomial(fam, c).mask for c in chains}
+        for k in range(3):
+            order = random_linear_extension(chains, rng) if k else linear_extension(chains)
+            masks = [monomial[c] for c in order.chains]
+            assert lq_reference(masks) is None
+            assert lq_verdict(masks) is None
+            rng.shuffle(masks)
+            assert lq_verdict(masks) == lq_reference(masks)
+
+
+def test_find_order_is_none_exactly_when_no_permutation_passes():
+    rng = random.Random(3141)
+    found = 0
+    for _ in range(150):
+        v = rng.randint(2, 6)
+        d = rng.randint(1, v - 1)
+        masks = {sum(1 << x for x in rng.sample(range(v), d)) for _ in range(rng.randint(1, 5))}
+        ideal = minimalize([Monomial(1, v, m) for m in masks], r=1, n=v)
+        result = find_linear_quotients_order(ideal)
+        exists = any(lq_reference(p) is None for p in permutations(sorted(masks)))
+        assert (result is not None) == exists, sorted(masks)
+        if result is not None:
+            assert sorted(g.mask for g in result) == sorted(masks)
+            assert lq_reference([g.mask for g in result]) is None
+            found += 1
+    assert 20 < found < 140
+
+
+def test_linear_quotients_on_the_five_by_six_identity_grid():
+    # 30 variables and 6^5 generators in the canonical chain order
+    fam = RelationFamily.from_pairs(5, 6, {})
+    order = linear_extension(enumerate_chains(fam))
+    gens = [chain_monomial(fam, c) for c in order.chains]
+    assert len(gens) == 7776
+    assert check_linear_quotients(gens).passed
 
 
 def test_linear_quotients_failure_witness():

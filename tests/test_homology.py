@@ -14,6 +14,7 @@ import pytest
 from cmgraphs import (
     GF2,
     RATIONAL,
+    InternalMismatchError,
     NotFaceError,
     ParseError,
     SimplicialComplex,
@@ -29,7 +30,7 @@ from cmgraphs import (
     reduced_homology,
 )
 from cmgraphs.graphs import cycle_graph
-from cmgraphs.homology import _faces_by_dim, _rank_sparse
+from cmgraphs.homology import _boundary_rank, _faces_by_dim, _rank_sparse
 from cmgraphs.verification import random_squarefree_ideal
 
 
@@ -199,6 +200,17 @@ def test_face_budget_is_enforced():
     simplex22 = SimplicialComplex.make(tuple(range(22)), [(1 << 22) - 1])
     with pytest.raises(SizeBudgetError, match="faces exceed the budget"):
         reduced_homology(simplex22)
+
+
+def test_overcounted_boundary_rank_raises(monkeypatch):
+    # the negative-rank check is the guard: the Euler comparison after it is
+    # an identity of the rank formula and would pass on these ranks too
+    monkeypatch.setattr(
+        "cmgraphs.homology._boundary_rank", lambda *args: _boundary_rank(*args) + 1
+    )
+    for field in (GF2, RATIONAL):
+        with pytest.raises(InternalMismatchError, match="negative homology rank"):
+            reduced_homology(HOLLOW_TRIANGLE, field)
 
 
 def test_faces_by_dim_matches_all_subsets_reference():
