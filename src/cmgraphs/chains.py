@@ -277,11 +277,10 @@ def check_linear_quotients(gens) -> LinearQuotientsVerdict:
     witness.  Each i is decided at once over the variable columns of the
     generators (see _blocked), not pair by pair.
     """
-    gens = list(gens)
-    if len({g.degree() for g in gens}) > 1:
-        degs = sorted({g.degree() for g in gens})
-        raise DegreeError(f"generators are not equigenerated: degrees {degs}")
     masks = [g.mask for g in gens]
+    degs = {m.bit_count() for m in masks}
+    if len(degs) > 1:
+        raise DegreeError(f"generators are not equigenerated: degrees {sorted(degs)}")
     union, columns = _columns(masks)
     for i in range(1, len(masks)):
         blocked = _blocked(columns, (1 << i) - 1, union & ~masks[i])
@@ -304,13 +303,13 @@ def find_linear_quotients_order(
     raises instead.
     """
     gens = ideal.gens
-    if len({g.degree() for g in gens}) > 1:
-        degs = sorted({g.degree() for g in gens})
-        raise DegreeError(f"generators are not equigenerated: degrees {degs}")
+    masks = [g.mask for g in gens]
+    degs = {mask.bit_count() for mask in masks}
+    if len(degs) > 1:
+        raise DegreeError(f"generators are not equigenerated: degrees {sorted(degs)}")
     m = len(gens)
     if m <= 1:
         return tuple(gens)
-    masks = [g.mask for g in gens]
     union, columns = _columns(masks)
     full = (1 << m) - 1
     dead: set[int] = set()

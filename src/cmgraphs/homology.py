@@ -1,17 +1,18 @@
 """Reduced simplicial homology over a field and the depth criterion oracle.
 
-Ranks are computed from boundary-matrix ranks with exact arithmetic and two
-kernels.  GF(2) rows are int bitsets eliminated by XOR.  GF(p) and Q share
-one sparse elimination of integer rows held as dicts: each row is reduced
-against the pivot row of its highest column, mod p against a pivot scaled
-to leading coefficient 1, or over Q fraction-free and divided by the gcd of
-its entries.  GF(2), the default field, keeps its own
-kernel because XOR on ints is much cheaper than dict updates: routing it
-through the dict kernel made CM checks on the benchmark graphs 1.3-1.8
-times slower.
-Floating point never enters.  The empty face lives at dimension -1 and the
-augmentation map is included, so the profile of a nonempty connected
-complex starts with zeros.
+Ranks are computed from boundary-matrix ranks with exact arithmetic, one
+kernel per kind of field, each reducing a row against the pivot row of its
+highest column.  GF(2) packs a row into an int bitset and eliminates by
+XOR.  GF(p) packs a row into an int with one lane of a few bits per column
+and eliminates with whole-row additions, each followed by a lane-wise
+reduction mod p (see _rank_gfp).  Q holds a row as a dict of integer
+entries and eliminates fraction-free, dividing by the gcd of the entries.
+GF(2), the default field, keeps XOR rather than the lane kernel at p = 2:
+a pass of CM checks over the benchmark's cm-gf2 graphs (seeds 31-33) took
+1.18-1.31 s through the lane kernel against 0.90-0.93 s by XOR on a 2-CPU
+host.  Floating point never enters.  The empty face lives at dimension -1
+and the augmentation map is included, so the profile of a nonempty
+connected complex starts with zeros.
 
 Faces are listed from the facets, each once as a child of its parent: the
 parent of a face F is F less its lowest vertex.  No subset lattice is built,
@@ -186,91 +187,159 @@ def _faces_by_dim(facets, face_budget: int) -> list[list[int]]:
 
 
 def _rank_gf2(rows: list[int]) -> int:
+    """Rank over GF(2) of rows packed as int bitsets, one bit per column.
+
+    Each row is reduced by XOR against the stored pivot row of its highest
+    set bit, and what is left nonzero becomes a new pivot.
+    """
     pivots: dict[int, int] = {}
-    rank = 0
     for row in rows:
         while row:
-            low = (row & -row).bit_length() - 1
-            if low in pivots:
-                row ^= pivots[low]
-            else:
-                pivots[low] = row
-                rank += 1
+            top = row.bit_length()
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = row
                 break
-    return rank
+            row ^= pivot
+    return len(pivots)
 
 
-def _rank_sparse(rows, p: int) -> int:
-    """Rank over GF(p), or over Q when p is 0, of integer rows of (column, value) pairs.
+def _lane_width(p: int) -> int:
+    """Bits per column in a packed GF(p) row: the fewest that hold 2p - 2."""
+    return (2 * p - 2).bit_length()
 
-    Each row is reduced against the stored pivot row for its highest column.
-    Over GF(p) every pivot is stored scaled to leading coefficient 1, so one
-    pass of row - a*pivot mod p clears that column.  Over Q the step is
-    b*row - a*pivot, and the result is divided by the gcd of its entries.
-    Zero entries are dropped, and what is left nonzero becomes a new pivot.
-    Row operations with nonzero multipliers keep the row space, so the rank
-    is exact.
+
+def _rank_gfp(rows: list[int], p: int) -> int:
+    """Rank over GF(p) of rows packed as ints, one _lane_width(p)-bit lane per column.
+
+    Lane k of a row, (row >> k*w) & (2^w - 1), holds the entry of column k,
+    a residue in [0, p).  Each row is reduced against the stored pivot row
+    of its highest nonzero lane.  Pivots are stored scaled to leading
+    coefficient 1, so adding (p - a) times the pivot clears a leading a.
+
+    Adding two rows of residues gives lane sums s <= 2p - 2, which fit a
+    lane, so no carry crosses into the next one.  Every lane is then brought
+    back below p at once: with K = 2^(w-1) - p and H = 2^(w-1) in every
+    lane, s + K reaches bit w-1 exactly when s >= p, and p is subtracted
+    from those lanes.  Since 2^(w-1) >= p, K is not negative and
+    s + K <= 2^(w-1) + p - 2 < 2^w, so this test does not carry either.
+    A pivot's multiples are made on first use by doubling and adding,
+    O(log p) row additions each, and kept per pivot.  Row operations with
+    nonzero multipliers keep the row space, so the rank is exact.
+    """
+    w = _lane_width(p)
+    shift = w - 1
+    lanes = max(rows, default=0).bit_length() // w + 1
+    ones = ((1 << lanes * w) - 1) // ((1 << w) - 1)  # 1 in every lane
+    K = ones * ((1 << shift) - p)
+    H = ones << shift
+
+    def add(x: int, y: int) -> int:
+        s = x + y
+        return s - (((s + K) & H) >> shift) * p
+
+    def times(x: int, c: int) -> int:
+        out = 0
+        while True:
+            if c & 1:
+                out = add(out, x)
+            c >>= 1
+            if not c:
+                return out
+            x = add(x, x)
+
+    pivots: dict[int, dict[int, int]] = {}  # lane -> {multiplier: multiple}
+    for row in rows:
+        while row:
+            col = (row.bit_length() - 1) // w
+            a = row >> col * w
+            multiples = pivots.get(col)
+            if multiples is None:
+                pivots[col] = {1: times(row, pow(a, -1, p)) if a != 1 else row}
+                break
+            c = p - a
+            m = multiples.get(c)
+            if m is None:
+                m = multiples[c] = times(multiples[1], c)
+            s = row + m  # add(row, m), inlined: this is the hot loop
+            row = s - (((s + K) & H) >> shift) * p
+    return len(pivots)
+
+
+def _rank_rational(rows) -> int:
+    """Rank over Q of integer rows of (column, value) pairs.
+
+    Each row is reduced fraction-free against the stored pivot row for its
+    highest column: the step is b*row - a*pivot with a and b the two leading
+    entries over their gcd, and the result is divided by the gcd of its
+    entries.  Zero entries are dropped, and what is left nonzero becomes a
+    new pivot.  Row operations with nonzero multipliers keep the row space,
+    so the rank is exact.
     """
     pivots: dict[int, dict[int, int]] = {}
     for entries in rows:
-        row = {c: v % p for c, v in entries if v % p} if p else dict(entries)
+        row = dict(entries)
         while row:
             col = max(row)
             pivot = pivots.get(col)
             if pivot is None:
-                if p:
-                    inverse = pow(row[col], -1, p)
-                    row = {c: v * inverse % p for c, v in row.items()}
                 pivots[col] = row
                 break
-            a = row[col]
-            if not p:
-                b = pivot[col]
-                g = gcd(a, b)
-                a, b = a // g, b // g
-                row = {c: b * v for c, v in row.items()}
+            a, b = row[col], pivot[col]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            row = {c: b * v for c, v in row.items()}
             for c, v in pivot.items():
                 x = row.get(c, 0) - a * v
-                if p:
-                    x %= p
                 if x:
                     row[c] = x
                 else:
                     del row[c]
-            if not p:
-                content = gcd(*row.values())
-                if content > 1:
-                    row = {c: v // content for c, v in row.items()}
+            content = gcd(*row.values())
+            if content > 1:
+                row = {c: v // content for c, v in row.items()}
     return len(pivots)
 
 
 def _boundary_rank(d_faces, lower_index: dict[int, int], field: FieldChoice) -> int:
-    """Rank of the boundary map from the d-faces into the (d-1)-faces."""
+    """Rank of the boundary map from the d-faces into the (d-1)-faces.
+
+    Row k is the boundary of the k-th d-face: the entry of the face less its
+    j-th lowest vertex is (-1)^j.  Q keeps (column, value) pairs for
+    _rank_rational.  The finite fields pack a row into one int: GF(2) with
+    one bit per column, the signs dropped, for _rank_gf2; GF(p) with one
+    _lane_width(p)-bit lane per column holding 1 or p - 1, for _rank_gfp.
+    """
     if not d_faces or not lower_index:
         return 0
-    if field.tag == "gf2":
-        rows = []
+    if field.tag == "rational":
+        sparse = []
         for f in d_faces:
-            row = 0
+            entries = []
+            sign = 1
             m = f
             while m:
                 bit = m & -m
                 m &= m - 1
-                row |= 1 << lower_index[f ^ bit]
-            rows.append(row)
-        return _rank_gf2(rows)
-    sparse = []
+                entries.append((lower_index[f ^ bit], sign))
+                sign = -sign
+            sparse.append(entries)
+        return _rank_rational(sparse)
+    gf2 = field.tag == "gf2"
+    p = 2 if gf2 else field.p
+    w = 1 if gf2 else _lane_width(p)
+    rows = []
     for f in d_faces:
-        entries = []
-        sign = 1
+        row = 0
+        value, other = 1, p - 1
         m = f
         while m:
             bit = m & -m
             m &= m - 1
-            entries.append((lower_index[f ^ bit], sign))
-            sign = -sign
-        sparse.append(entries)
-    return _rank_sparse(sparse, field.p or 0)
+            row |= value << lower_index[f ^ bit] * w
+            value, other = other, value
+        rows.append(row)
+    return _rank_gf2(rows) if gf2 else _rank_gfp(rows, p)
 
 
 def reduced_homology(
@@ -385,8 +454,8 @@ def is_cohen_macaulay(
     Every face is visited in ascending (size, mask) order, the empty face
     first; link homology profiles are memoized by the link's facet set.  On
     failure the witness is the lexicographically smallest offending
-    (face, dimension) pair; on success purity is asserted, since the
-    criterion implies it.
+    (face, dimension) pair, so the walk stops after the first size that
+    has one; on success purity is asserted, since the criterion implies it.
 
     Each link is read off the link of the face's parent, the face less its
     lowest vertex v, which the walk visited one level earlier: the link's
@@ -431,6 +500,8 @@ def is_cohen_macaulay(
             for d, h in profile.ranks:
                 if d < link_dim and h:
                     witnesses.append((face_mask, d, h))
+        if witnesses:  # a later bucket holds only larger faces
+            break
     if witnesses:
         face_mask, d, h = min(
             witnesses,

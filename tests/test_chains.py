@@ -291,8 +291,13 @@ def test_linear_quotients_failure_witness():
 def test_linear_quotients_requires_equal_degrees():
     u = Monomial.from_variables(2, 2, [(1, 1)])
     v = Monomial.from_variables(2, 2, [(2, 1), (2, 2)])
-    with pytest.raises(DegreeError):
+    message = r"generators are not equigenerated: degrees \[1, 2\]"
+    with pytest.raises(DegreeError, match=message):
         check_linear_quotients([u, v])
+    with pytest.raises(DegreeError, match=message):
+        check_linear_quotients(iter([v, u]))
+    with pytest.raises(DegreeError, match=message):
+        find_linear_quotients_order(minimalize([v, u], r=2, n=2))
 
 
 def test_find_order_succeeds_on_sample(sample):

@@ -6,6 +6,7 @@ cross-field plumbing end to end.
 """
 
 import random
+import time
 from itertools import combinations, permutations
 
 import numpy as np
@@ -30,7 +31,14 @@ from cmgraphs import (
     reduced_homology,
 )
 from cmgraphs.graphs import cycle_graph
-from cmgraphs.homology import _boundary_rank, _faces_by_dim, _rank_sparse
+from cmgraphs.homology import (
+    _boundary_rank,
+    _faces_by_dim,
+    _lane_width,
+    _rank_gf2,
+    _rank_gfp,
+    _rank_rational,
+)
 from cmgraphs.verification import random_squarefree_ideal
 
 
@@ -142,9 +150,9 @@ def test_rational_betti_numbers_bound_the_modular_ones():
 def test_rational_rank_of_integer_rows():
     # reduced boundary rows almost never leave +-1, so drive the gcd scaling
     # with general integer rows
-    assert _rank_sparse([[(0, 2), (1, 3)], [(0, 4), (1, 6)]], 0) == 1
-    assert _rank_sparse([[(0, 2), (1, 3)], [(0, 3), (1, 5)]], 0) == 2
-    assert _rank_sparse([[(0, 6), (2, 4)], [(1, 9), (2, 6)], [(0, 9), (1, -6), (2, 2)]], 0) == 2
+    assert _rank_rational([[(0, 2), (1, 3)], [(0, 4), (1, 6)]]) == 1
+    assert _rank_rational([[(0, 2), (1, 3)], [(0, 3), (1, 5)]]) == 2
+    assert _rank_rational([[(0, 6), (2, 4)], [(1, 9), (2, 6)], [(0, 9), (1, -6), (2, 2)]]) == 2
     rng = random.Random(5)
     for _ in range(200):
         rows, cols = rng.randint(1, 7), rng.randint(1, 7)
@@ -152,7 +160,7 @@ def test_rational_rank_of_integer_rows():
         if rng.random() < 0.5:  # force a dependent row
             dense.append([2 * x - 3 * y for x, y in zip(dense[0], dense[-1])])
         sparse = [[(c, v) for c, v in enumerate(row) if v] for row in dense]
-        assert _rank_sparse(sparse, 0) == np.linalg.matrix_rank(np.array(dense)), dense
+        assert _rank_rational(sparse) == np.linalg.matrix_rank(np.array(dense)), dense
 
 
 def _leibniz_det(square) -> int:
@@ -176,18 +184,56 @@ def _minor_rank(dense, p: int) -> int:
     return 0
 
 
+def _modular_rank(dense, p: int) -> int:
+    """Rank mod p by the finite-field kernels, the rows packed as _boundary_rank packs them."""
+    if p == 2:
+        return _rank_gf2([sum((v & 1) << c for c, v in enumerate(row)) for row in dense])
+    w = _lane_width(p)
+    return _rank_gfp([sum(v % p << c * w for c, v in enumerate(row)) for row in dense], p)
+
+
 def test_modular_rank_of_integer_rows():
-    rows = [[(0, 1), (1, 2)], [(0, 2), (1, 1)]]  # determinant -3
-    assert _rank_sparse(rows, 3) == 1
-    assert _rank_sparse(rows, 5) == 2
-    assert _rank_sparse(rows, 0) == 2
+    rows = [[1, 2], [2, 1]]  # determinant -3
+    assert _modular_rank(rows, 3) == 1
+    assert _modular_rank(rows, 5) == 2
+    assert _rank_rational([[(0, 1), (1, 2)], [(0, 2), (1, 1)]]) == 2
     rng = random.Random(7)
     for _ in range(150):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         dense = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
-        sparse = [[(c, v) for c, v in enumerate(row) if v] for row in dense]
         for p in (2, 3, 5, 7):
-            assert _rank_sparse(sparse, p) == _minor_rank(dense, p), (p, dense)
+            assert _modular_rank(dense, p) == _minor_rank(dense, p), (p, dense)
+
+
+def test_lane_sums_up_to_two_p_minus_two_stay_in_their_lanes():
+    # adding the pivot [p-1, p-1, p-1, 1] (highest lane last) to a row of
+    # p-1 takes three adjacent lanes to 2p - 2 and the leading lane to p
+    for p in (3, 5, 7, 11, 65537):
+        top = [p - 1] * 4
+        pivot = [p - 1] * 3 + [1]
+        assert _modular_rank([pivot, top], p) == 2
+        assert _modular_rank([pivot, top, [p - 2] * 3 + [0]], p) == 2
+        assert _modular_rank([top] * 3, p) == 1
+    rng = random.Random(11)
+    for _ in range(200):
+        p = rng.choice((3, 5, 7))
+        rows, cols = rng.randint(1, 5), rng.randint(1, 6)
+        dense = [[rng.choice((0, 1, p - 1, p - 1)) for _ in range(cols)] for _ in range(rows)]
+        if rng.random() < 0.5:  # force a dependent row
+            dense.append([x + (p - 1) * y for x, y in zip(dense[0], dense[-1])])
+        assert _modular_rank(dense, p) == _minor_rank(dense, p), (p, dense)
+
+
+def test_wide_lane_prime_rank():
+    p = 65537  # 18-bit lanes, and almost every multiplier is new
+    rng = random.Random(13)
+    for _ in range(120):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+        dense = [[rng.randrange(-p, p) for _ in range(cols)] for _ in range(rows)]
+        if rng.random() < 0.5:  # force a dependent row
+            a, b = rng.randrange(1, p), rng.randrange(1, p)
+            dense.append([a * x + b * y for x, y in zip(dense[0], dense[-1])])
+        assert _modular_rank(dense, p) == _minor_rank(dense, p), dense
 
 
 def test_face_budget_is_enforced():
@@ -208,7 +254,7 @@ def test_overcounted_boundary_rank_raises(monkeypatch):
     monkeypatch.setattr(
         "cmgraphs.homology._boundary_rank", lambda *args: _boundary_rank(*args) + 1
     )
-    for field in (GF2, RATIONAL):
+    for field in (GF2, gfp(3), RATIONAL):
         with pytest.raises(InternalMismatchError, match="negative homology rank"):
             reduced_homology(HOLLOW_TRIANGLE, field)
 
@@ -302,6 +348,16 @@ def test_cm_witness_at_a_nonempty_face():
         assert cert.witness == ((1,), 0, 1)
 
 
+def test_cm_witness_is_least_by_labels_not_first_by_mask():
+    # the links of {3, 8} and {6, 7} are both two disjoint edges; {6, 7} has
+    # the smaller mask, so a walk that stopped at its first witness would
+    # report it
+    three_tetrahedra = cx(8, (2, 5, 6, 7), (1, 3, 4, 8), (3, 6, 7, 8))
+    for field in (GF2, gfp(3), RATIONAL):
+        assert is_cohen_macaulay(three_tetrahedra, field).witness == ((3, 8), 0, 1)
+        assert _reference_cm(three_tetrahedra, field) == (False, ((3, 8), 0, 1))
+
+
 def _reference_cm(complex_, field):
     """Verdict and minimal witness from the public link() of every face."""
     nv = len(complex_.vertices)
@@ -356,6 +412,13 @@ def test_cm_depends_on_the_field_for_torsion():
     assert over2.witness == ((), 1, 1)
     assert is_cohen_macaulay(PROJECTIVE_PLANE, RATIONAL).verdict
     assert is_cohen_macaulay(PROJECTIVE_PLANE, gfp(3)).verdict
+
+
+def test_projective_plane_is_cm_over_a_wide_lane_prime():
+    started = time.perf_counter()
+    assert is_cohen_macaulay(PROJECTIVE_PLANE, gfp(65537)).verdict
+    assert reduced_homology(PROJECTIVE_PLANE, gfp(65537)).nonzero() == ()
+    assert time.perf_counter() - started < 1.0
 
 
 def test_cm_cycle_fixtures():
