@@ -364,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--field",
             default="gf2",
-            help="coefficient field: gf2, rational or gfp:<p>",
+            help="coefficient field: gf2, rational or gfp:<p> with p an odd prime",
         )
         p.add_argument(
             "--budget-faces",

@@ -14,6 +14,16 @@ host.  Floating point never enters.  The empty face lives at dimension -1
 and the augmentation map is included, so the profile of a nonempty
 connected complex starts with zeros.
 
+Each kernel returns the leading columns of its pivot rows, and their number
+is the rank.  The boundary maps are ranked from the top dimension down with
+clearing (Chen-Kerber, "Persistent homology computation with a twist",
+2011): a d-face that leads a pivot of the map out of dimension d + 1 gets
+no row in the map out of dimension d.  A pivot is a combination of
+boundaries, so a cycle, and the pivots' leading faces are distinct, so the
+pivots together with the uncleared d-faces are a basis of the d-chains;
+the map out of dimension d kills the pivots, so the uncleared rows span its
+whole image and its rank is exact.
+
 Faces are listed from the facets, each once as a child of its parent: the
 parent of a face F is F less its lowest vertex.  No subset lattice is built,
 so no vertex count bounds a complex; only the face budget does.
@@ -26,7 +36,9 @@ parent relation: with v the lowest vertex of F, the link of F is read off the
 parent's link as the facets (and faces) that contain v, with v removed.  No
 link is found by scanning the facets of the complex, and no link's face
 lattice is enumerated again: a link's faces are derived only when its facet
-set is new to the memo.
+set is new to the memo.  Two kinds of link need no homology at all: a cone,
+whose facets share a vertex, is acyclic over every field, and a link of
+dimension at most 0 cannot hold a rank below its dimension.
 """
 
 from __future__ import annotations
@@ -59,6 +71,8 @@ class FieldChoice:
         if self.tag == "gfp":
             if self.p is None or not _is_prime(self.p):
                 raise RangeError(f"gfp needs a prime modulus, got {self.p!r}")
+            if self.p == 2:
+                raise RangeError("gfp needs an odd prime; GF(2) is the field gf2")
         elif self.p is not None:
             raise RangeError(f"field {self.tag} takes no modulus")
 
@@ -186,13 +200,14 @@ def _faces_by_dim(facets, face_budget: int) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _rank_gf2(rows: list[int]) -> int:
-    """Rank over GF(2) of rows packed as int bitsets, one bit per column.
+def _rank_gf2(rows: list[int]) -> set[int]:
+    """Pivot columns over GF(2) of rows packed as int bitsets, one bit per column.
 
     Each row is reduced by XOR against the stored pivot row of its highest
-    set bit, and what is left nonzero becomes a new pivot.
+    set bit, and what is left nonzero becomes a new pivot.  The result is
+    the set of the pivots' leading columns; its size is the rank.
     """
-    pivots: dict[int, int] = {}
+    pivots: dict[int, int] = {}  # bit_length, one past the leading column -> row
     for row in rows:
         while row:
             top = row.bit_length()
@@ -201,7 +216,7 @@ def _rank_gf2(rows: list[int]) -> int:
                 pivots[top] = row
                 break
             row ^= pivot
-    return len(pivots)
+    return {top - 1 for top in pivots}
 
 
 def _lane_width(p: int) -> int:
@@ -209,8 +224,8 @@ def _lane_width(p: int) -> int:
     return (2 * p - 2).bit_length()
 
 
-def _rank_gfp(rows: list[int], p: int) -> int:
-    """Rank over GF(p) of rows packed as ints, one _lane_width(p)-bit lane per column.
+def _rank_gfp(rows: list[int], p: int) -> set[int]:
+    """Pivot columns over GF(p) of rows packed as ints, one _lane_width(p)-bit lane per column.
 
     Lane k of a row, (row >> k*w) & (2^w - 1), holds the entry of column k,
     a residue in [0, p).  Each row is reduced against the stored pivot row
@@ -225,7 +240,13 @@ def _rank_gfp(rows: list[int], p: int) -> int:
     s + K <= 2^(w-1) + p - 2 < 2^w, so this test does not carry either.
     A pivot's multiples are made on first use by doubling and adding,
     O(log p) row additions each, and kept per pivot.  Row operations with
-    nonzero multipliers keep the row space, so the rank is exact.
+    nonzero multipliers keep the row space, so the pivots' leading columns,
+    returned as a set, are exact, and so is their number, the rank.
+
+    Each step clears the row's leading lane, so that lane must fall from
+    one step to the next, and a multiplier made on a cache miss must lie in
+    (0, p).  A wrong reduction raises InternalMismatchError on either test
+    rather than looping.
     """
     w = _lane_width(p)
     shift = w - 1
@@ -250,8 +271,12 @@ def _rank_gfp(rows: list[int], p: int) -> int:
 
     pivots: dict[int, dict[int, int]] = {}  # lane -> {multiplier: multiple}
     for row in rows:
+        last = lanes
         while row:
             col = (row.bit_length() - 1) // w
+            if col >= last:
+                raise InternalMismatchError(f"GF({p}) step left lane {col} uncleared")
+            last = col
             a = row >> col * w
             multiples = pivots.get(col)
             if multiples is None:
@@ -260,21 +285,26 @@ def _rank_gfp(rows: list[int], p: int) -> int:
             c = p - a
             m = multiples.get(c)
             if m is None:
+                if not 0 < c < p:
+                    raise InternalMismatchError(
+                        f"leading entry {a} is not a nonzero residue mod {p}"
+                    )
                 m = multiples[c] = times(multiples[1], c)
             s = row + m  # add(row, m), inlined: this is the hot loop
             row = s - (((s + K) & H) >> shift) * p
-    return len(pivots)
+    return set(pivots)
 
 
-def _rank_rational(rows) -> int:
-    """Rank over Q of integer rows of (column, value) pairs.
+def _rank_rational(rows) -> set[int]:
+    """Pivot columns over Q of integer rows of (column, value) pairs.
 
     Each row is reduced fraction-free against the stored pivot row for its
     highest column: the step is b*row - a*pivot with a and b the two leading
     entries over their gcd, and the result is divided by the gcd of its
     entries.  Zero entries are dropped, and what is left nonzero becomes a
     new pivot.  Row operations with nonzero multipliers keep the row space,
-    so the rank is exact.
+    so the pivots' leading columns, returned as a set, are exact, and so is
+    their number, the rank.
     """
     pivots: dict[int, dict[int, int]] = {}
     for entries in rows:
@@ -298,20 +328,21 @@ def _rank_rational(rows) -> int:
             content = gcd(*row.values())
             if content > 1:
                 row = {c: v // content for c, v in row.items()}
-    return len(pivots)
+    return set(pivots)
 
 
-def _boundary_rank(d_faces, lower_index: dict[int, int], field: FieldChoice) -> int:
-    """Rank of the boundary map from the d-faces into the (d-1)-faces.
+def _boundary_pivots(d_faces, lower_index: dict[int, int], field: FieldChoice) -> set[int]:
+    """Pivot columns of the boundary map from the given d-faces into the (d-1)-faces.
 
     Row k is the boundary of the k-th d-face: the entry of the face less its
-    j-th lowest vertex is (-1)^j.  Q keeps (column, value) pairs for
-    _rank_rational.  The finite fields pack a row into one int: GF(2) with
-    one bit per column, the signs dropped, for _rank_gf2; GF(p) with one
-    _lane_width(p)-bit lane per column holding 1 or p - 1, for _rank_gfp.
+    j-th lowest vertex is (-1)^j, in column lower_index of that face.  Q
+    keeps (column, value) pairs for _rank_rational.  The finite fields pack
+    a row into one int: GF(2) with one bit per column, the signs dropped,
+    for _rank_gf2; GF(p) with one _lane_width(p)-bit lane per column holding
+    1 or p - 1, for _rank_gfp.  The number of pivot columns is the rank.
     """
-    if not d_faces or not lower_index:
-        return 0
+    if not d_faces:
+        return set()
     if field.tag == "rational":
         sparse = []
         for f in d_faces:
@@ -354,9 +385,7 @@ def reduced_homology(
     exactly for the complex {∅}.  The guard on every call is that each rank
     f_d - rank ∂_d - rank ∂_{d+1} is nonnegative, with ∂_d the boundary out
     of dimension d: a boundary rank that overcounts drives one below zero
-    and raises InternalMismatchError.  The Euler comparison after it cannot
-    fire, since the alternating sum of those ranks telescopes to that of the
-    face counts for any boundary ranks.
+    and raises InternalMismatchError.
     """
     if cx.is_void():
         raise ValueError("the void complex has no reduced homology profile")
@@ -364,29 +393,29 @@ def reduced_homology(
 
 
 def _homology_of_faces(by_dim: list[list[int]], field: FieldChoice) -> HomologyProfile:
-    """Reduced Betti numbers from the faces grouped by dimension, as _faces_by_dim gives them."""
+    """Reduced Betti numbers from the faces grouped by dimension, as _faces_by_dim gives them.
+
+    The boundary maps are ranked from the top dimension down, and a d-face
+    that leads a pivot of ∂_{d+1} gets no row in ∂_d (clearing; the module
+    docstring says why the ranks stay exact).
+    """
     top = len(by_dim) - 2  # top dimension of the complex
-    bd_rank = [0] * (top + 3)  # bd_rank[d+1] = rank of boundary out of dim d
-    for d in range(0, top + 1):
-        lower_index = {f: k for k, f in enumerate(by_dim[d])}
-        bd_rank[d + 1] = _boundary_rank(by_dim[d + 1], lower_index, field)
     ranks = []
-    for d in range(-1, top + 1):
-        f_d = len(by_dim[d + 1])
-        h = f_d - bd_rank[d + 1] - bd_rank[d + 2]
+    cleared: set[int] = set()  # pivot columns of ∂_{d+1}, indices into by_dim[d + 1]
+    for d in range(top, -2, -1):
+        faces = by_dim[d + 1]
+        pivots: set[int] = set()
+        if d >= 0:
+            rows = [f for k, f in enumerate(faces) if k not in cleared] if cleared else faces
+            pivots = _boundary_pivots(rows, {f: k for k, f in enumerate(by_dim[d])}, field)
+        h = len(faces) - len(pivots) - len(cleared)
         if h < 0:
             raise InternalMismatchError(
                 f"negative homology rank {h} at dimension {d}"
             )
         ranks.append((d, h))
-    euler_faces = sum(
-        (-1) ** d * len(by_dim[d + 1]) for d in range(-1, top + 1)
-    )
-    euler_ranks = sum((-1) ** d * h for d, h in ranks)
-    if euler_faces != euler_ranks:
-        raise InternalMismatchError(
-            f"Euler characteristic mismatch: faces give {euler_faces}, ranks give {euler_ranks}"
-        )
+        cleared = pivots
+    ranks.reverse()
     return HomologyProfile(field, tuple(ranks))
 
 
@@ -465,12 +494,22 @@ def is_cohen_macaulay(
     parent's link was memoized has a memoized link too (if lk(P) = lk(G)
     for an earlier G, then lk(P + v) = lk(G + v) and G + v comes earlier),
     so the parent's faces are there whenever they are needed.
+
+    Two kinds of link are memoized with no homology computed, and their
+    faces are still derived for their children.  A link whose facets all
+    contain one vertex (their AND is nonzero) is a cone, so its reduced
+    homology vanishes over every field; for Ind(G) the link of F is
+    Ind(G - N[F]), a cone exactly when G - N[F] has an isolated vertex.  A
+    link of dimension at most 0 can hold no witness: that needs a nonzero
+    rank at some d below the dimension, so at d = -1, and rank(-1) is 0 for
+    every nonempty complex.
     """
     if cx.is_void():
         raise ValueError("the void complex has no Cohen-Macaulay verdict")
     by_dim = _faces_by_dim(cx.facets, face_budget)
     root_facets = tuple(sorted(cx.facets, key=lambda m: (m.bit_count(), m)))
-    profile_memo: dict[tuple, tuple[HomologyProfile, int]] = {}
+    # link facets -> the link's nonzero ranks ((d, h), ...) below its dimension
+    link_witnesses: dict[tuple, tuple] = {}
     # face mask -> (link facets, link faces by dimension or None), one level
     level: dict[int, tuple] = {0: (root_facets, by_dim)}
     witnesses = []
@@ -481,8 +520,8 @@ def is_cohen_macaulay(
             link_facets, faces = parents[face_mask ^ v]
             if v:
                 link_facets = tuple(f ^ v for f in link_facets if f & v)
-            memo = profile_memo.get(link_facets)
-            if memo is None:
+            found = link_witnesses.get(link_facets)
+            if found is None:
                 if faces is None:
                     raise InternalMismatchError(
                         f"link of face {face_mask:#x} is new but its parent's was memoized"
@@ -492,14 +531,23 @@ def is_cohen_macaulay(
                     faces = [
                         [f ^ v for f in faces[k + 1] if f & v] for k in range(link_dim + 2)
                     ]
-                memo = profile_memo[link_facets] = (_homology_of_faces(faces, field), link_dim)
+                found = ()
+                if link_dim > 0:
+                    apex = link_facets[0]
+                    for f in link_facets:
+                        apex &= f
+                    if not apex:
+                        found = tuple(
+                            (d, h)
+                            for d, h in _homology_of_faces(faces, field).ranks
+                            if d < link_dim and h
+                        )
+                link_witnesses[link_facets] = found
             else:
                 faces = None
             level[face_mask] = (link_facets, faces)
-            profile, link_dim = memo
-            for d, h in profile.ranks:
-                if d < link_dim and h:
-                    witnesses.append((face_mask, d, h))
+            for d, h in found:
+                witnesses.append((face_mask, d, h))
         if witnesses:  # a later bucket holds only larger faces
             break
     if witnesses:

@@ -343,7 +343,7 @@ def criterion_7_resolution_certificates() -> tuple[bool, str]:
 
 
 def criterion_8_structural_identities(families, ideals) -> tuple[bool, str]:
-    """Edge ideal = brute-force dual; double dual = identity; Euler checks exercised."""
+    """Edge ideal = brute-force dual; double dual = identity; rank guards exercised."""
     problems = []
     fam = sample_family()
     g = graph_of_family(fam)
@@ -364,15 +364,14 @@ def criterion_8_structural_identities(families, ideals) -> tuple[bool, str]:
             problems.append(f"double dual differs on ideal #{k}")
             break
         # every homology call raises on a negative rank, which an
-        # overcounted boundary rank produces; its Euler comparison is an
-        # identity of the rank formula and cannot fire
+        # overcounted boundary rank produces
         cx = complex_of_ideal(ideal, verts)
         reduced_homology(cx, GF2)
         reduced_homology(cx, RATIONAL)
     return (
         not problems,
         "; ".join(problems)
-        or f"{len(families) + 1} identities, {len(ideals)} double duals, Euler checks ran",
+        or f"{len(families) + 1} identities, {len(ideals)} double duals, rank guards ran",
     )
 
 

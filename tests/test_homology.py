@@ -18,6 +18,7 @@ from cmgraphs import (
     InternalMismatchError,
     NotFaceError,
     ParseError,
+    RangeError,
     SimplicialComplex,
     SizeBudgetError,
     complex_of_ideal,
@@ -30,10 +31,11 @@ from cmgraphs import (
     parse_field,
     reduced_homology,
 )
-from cmgraphs.graphs import cycle_graph
+from cmgraphs.graphs import MultipartiteGraph, cycle_graph
 from cmgraphs.homology import (
-    _boundary_rank,
+    _boundary_pivots,
     _faces_by_dim,
+    _homology_of_faces,
     _lane_width,
     _rank_gf2,
     _rank_gfp,
@@ -74,6 +76,10 @@ def test_field_parsing():
         parse_field("gf3")
     with pytest.raises(ParseError):
         parse_field("gfp:4")  # 4 is not prime
+    with pytest.raises(ParseError, match="gf2"):
+        parse_field("gfp:2")  # GF(2) is the gf2 field, reduced by XOR
+    with pytest.raises(RangeError, match="gf2"):
+        gfp(2)
 
 
 def test_homology_of_points():
@@ -147,12 +153,25 @@ def test_rational_betti_numbers_bound_the_modular_ones():
             assert euler(profile) == euler(over_q), (field, ideal)
 
 
+def _leading_columns(dense, rank) -> set[int]:
+    """The columns that lead some vector of the row space, leading meaning highest nonzero.
+
+    Column c leads one exactly when the columns from c up have a larger rank
+    than those above c.  Clearing relies on the kernels' pivots being these.
+    """
+    def upper_rank(c):
+        cols = range(c, len(dense[0]))
+        return rank([[row[k] for k in cols] for row in dense]) if cols else 0
+
+    return {c for c in range(len(dense[0])) if upper_rank(c) > upper_rank(c + 1)}
+
+
 def test_rational_rank_of_integer_rows():
     # reduced boundary rows almost never leave +-1, so drive the gcd scaling
     # with general integer rows
-    assert _rank_rational([[(0, 2), (1, 3)], [(0, 4), (1, 6)]]) == 1
-    assert _rank_rational([[(0, 2), (1, 3)], [(0, 3), (1, 5)]]) == 2
-    assert _rank_rational([[(0, 6), (2, 4)], [(1, 9), (2, 6)], [(0, 9), (1, -6), (2, 2)]]) == 2
+    assert _rank_rational([[(0, 2), (1, 3)], [(0, 4), (1, 6)]]) == {1}
+    assert _rank_rational([[(0, 2), (1, 3)], [(0, 3), (1, 5)]]) == {0, 1}
+    assert _rank_rational([[(0, 6), (2, 4)], [(1, 9), (2, 6)], [(0, 9), (1, -6), (2, 2)]]) == {1, 2}
     rng = random.Random(5)
     for _ in range(200):
         rows, cols = rng.randint(1, 7), rng.randint(1, 7)
@@ -160,7 +179,10 @@ def test_rational_rank_of_integer_rows():
         if rng.random() < 0.5:  # force a dependent row
             dense.append([2 * x - 3 * y for x, y in zip(dense[0], dense[-1])])
         sparse = [[(c, v) for c, v in enumerate(row) if v] for row in dense]
-        assert _rank_rational(sparse) == np.linalg.matrix_rank(np.array(dense)), dense
+        assert len(_rank_rational(sparse)) == np.linalg.matrix_rank(np.array(dense)), dense
+        assert _rank_rational(sparse) == _leading_columns(
+            dense, lambda m: np.linalg.matrix_rank(np.array(m))
+        ), dense
 
 
 def _leibniz_det(square) -> int:
@@ -184,25 +206,43 @@ def _minor_rank(dense, p: int) -> int:
     return 0
 
 
-def _modular_rank(dense, p: int) -> int:
-    """Rank mod p by the finite-field kernels, the rows packed as _boundary_rank packs them."""
+def _modular_pivots(dense, p: int) -> set[int]:
+    """Pivot columns mod p by the finite-field kernels, rows packed as _boundary_pivots packs them."""
     if p == 2:
         return _rank_gf2([sum((v & 1) << c for c, v in enumerate(row)) for row in dense])
     w = _lane_width(p)
     return _rank_gfp([sum(v % p << c * w for c, v in enumerate(row)) for row in dense], p)
 
 
+def _modular_rank(dense, p: int) -> int:
+    return len(_modular_pivots(dense, p))
+
+
 def test_modular_rank_of_integer_rows():
     rows = [[1, 2], [2, 1]]  # determinant -3
     assert _modular_rank(rows, 3) == 1
     assert _modular_rank(rows, 5) == 2
-    assert _rank_rational([[(0, 1), (1, 2)], [(0, 2), (1, 1)]]) == 2
+    assert _rank_rational([[(0, 1), (1, 2)], [(0, 2), (1, 1)]]) == {0, 1}
     rng = random.Random(7)
     for _ in range(150):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         dense = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
         for p in (2, 3, 5, 7):
             assert _modular_rank(dense, p) == _minor_rank(dense, p), (p, dense)
+            assert _modular_pivots(dense, p) == _leading_columns(
+                dense, lambda m: _minor_rank(m, p)
+            ), (p, dense)
+
+
+def test_gfp_kernel_raises_on_a_leading_lane_outside_the_residues():
+    # a second row whose leading lane holds p asks the pivot for multiplier
+    # 0 and one holding more than p for a negative one; either would loop
+    for p in (3, 5, 7):
+        w = _lane_width(p)
+        pivot = 1 << w | 2  # lanes (2, 1), highest last
+        for lead in range(p, 1 << w):
+            with pytest.raises(InternalMismatchError, match="residue"):
+                _rank_gfp([pivot, lead << w | 1], p)
 
 
 def test_lane_sums_up_to_two_p_minus_two_stay_in_their_lanes():
@@ -249,14 +289,85 @@ def test_face_budget_is_enforced():
 
 
 def test_overcounted_boundary_rank_raises(monkeypatch):
-    # the negative-rank check is the guard: the Euler comparison after it is
-    # an identity of the rank formula and would pass on these ranks too
+    # the negative-rank check is the guard: one column too many in every
+    # boundary map's pivots (a column no face has, so clearing is unchanged)
+    # drives a homology rank below zero
     monkeypatch.setattr(
-        "cmgraphs.homology._boundary_rank", lambda *args: _boundary_rank(*args) + 1
+        "cmgraphs.homology._boundary_pivots", lambda *args: _boundary_pivots(*args) | {-1}
     )
     for field in (GF2, gfp(3), RATIONAL):
         with pytest.raises(InternalMismatchError, match="negative homology rank"):
             reduced_homology(HOLLOW_TRIANGLE, field)
+
+
+def _uncleared_homology(by_dim, field) -> tuple:
+    """Reduced Betti numbers with every boundary map ranked on all its rows."""
+    bd = [0] * (len(by_dim) + 1)  # bd[d + 1] = rank of the boundary out of dimension d
+    for d in range(len(by_dim) - 1):
+        lower_index = {f: k for k, f in enumerate(by_dim[d])}
+        bd[d + 1] = len(_boundary_pivots(by_dim[d + 1], lower_index, field))
+    return tuple(
+        (d, len(by_dim[d + 1]) - bd[d + 1] - bd[d + 2]) for d in range(-1, len(by_dim) - 1)
+    )
+
+
+def test_clearing_matches_ranking_every_row(monkeypatch):
+    rng = random.Random(20261019)
+    complexes = _random_complexes(120, 20261019)
+    for _ in range(60):
+        ideal = random_squarefree_ideal(rng, max_vars=9)
+        complexes.append(complex_of_ideal(ideal, grid_vertices(1, ideal.n)))
+    ranked = []  # rows ranked by the clearing walk
+
+    def recording(d_faces, lower_index, field):
+        ranked.append(len(d_faces))
+        return _boundary_pivots(d_faces, lower_index, field)
+
+    rows, total = 0, 0
+    for complex_ in complexes:
+        by_dim = _faces_by_dim(complex_.facets, face_budget=1 << 16)
+        for field in (GF2, gfp(3), gfp(5), RATIONAL):
+            want = _uncleared_homology(by_dim, field)
+            ranked.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr("cmgraphs.homology._boundary_pivots", recording)
+                got = _homology_of_faces(by_dim, field).ranks
+            assert got == want, (complex_, field)
+            rows += sum(ranked)
+            total += sum(len(faces) for faces in by_dim[1:])
+    assert rows < total  # clearing dropped rows, so the comparison is not vacuous
+
+
+def _count_homology_calls(monkeypatch):
+    calls = []
+
+    def recording(by_dim, field):
+        calls.append(by_dim)
+        return _homology_of_faces(by_dim, field)
+
+    monkeypatch.setattr("cmgraphs.homology._homology_of_faces", recording)
+    return calls
+
+
+def test_cm_walk_computes_no_homology_of_cones_or_low_dimensional_links(monkeypatch):
+    calls = _count_homology_calls(monkeypatch)
+    # C5 on levels 1-5 and an isolated vertex at level 6: Ind(G) is a cone
+    # over Ind(C5), and so is every link of a face without the isolated vertex
+    c5_edges = {((a, 1), (a + 1, 1)) for a in range(1, 5)} | {((1, 1), (5, 1))}
+    with_isolated = independence_complex(MultipartiteGraph(6, 1, frozenset(c5_edges)))
+    ind_c5 = independence_complex(cycle_graph(5))
+    for field in (GF2, gfp(3), RATIONAL):
+        calls.clear()
+        assert is_cohen_macaulay(with_isolated, field).verdict
+        # only the link of the isolated vertex, the circle Ind(C5), is ranked;
+        # the links of its edges are pairs of points, of dimension 0
+        assert calls == [_faces_by_dim(ind_c5.facets, face_budget=64)], field
+    # every link of a complex of dimension 0 or -1 has dimension at most 0
+    calls.clear()
+    for low in (cx(3, (1,), (2,), (3,)), cx(2, ()), cx(1, (1,))):
+        for field in (GF2, gfp(3), RATIONAL):
+            assert is_cohen_macaulay(low, field).verdict
+    assert calls == []
 
 
 def test_faces_by_dim_matches_all_subsets_reference():
