@@ -244,9 +244,9 @@ def _rank_gfp(rows: list[int], p: int) -> set[int]:
     returned as a set, are exact, and so is their number, the rank.
 
     Each step clears the row's leading lane, so that lane must fall from
-    one step to the next, and a multiplier made on a cache miss must lie in
-    (0, p).  A wrong reduction raises InternalMismatchError on either test
-    rather than looping.
+    one step to the next, and a multiplier made on a cache miss, like the
+    leading entry of a new pivot, must lie in (0, p).  A wrong reduction
+    raises InternalMismatchError on any of these tests rather than looping.
     """
     w = _lane_width(p)
     shift = w - 1
@@ -280,6 +280,10 @@ def _rank_gfp(rows: list[int], p: int) -> set[int]:
             a = row >> col * w
             multiples = pivots.get(col)
             if multiples is None:
+                if not 0 < a < p:
+                    raise InternalMismatchError(
+                        f"new pivot entry {a} is not a nonzero residue mod {p}"
+                    )
                 pivots[col] = {1: times(row, pow(a, -1, p)) if a != 1 else row}
                 break
             c = p - a

@@ -24,7 +24,15 @@ from .chains import (
     linear_extension,
     random_linear_extension,
 )
-from .duality import dual_hr_fast, dual_ideal_bruteforce, grid_vertices, complex_of_ideal
+from .duality import (
+    SimplicialComplex,
+    _minimal_transversals,
+    complex_of_ideal,
+    dual_hr_fast,
+    dual_ideal_bruteforce,
+    grid_vertices,
+)
+from .errors import InternalMismatchError
 from .graphs import (
     build_complete_multipartite,
     check_family_conditions,
@@ -264,8 +272,25 @@ def criterion_4_composite_relation() -> tuple[bool, str]:
     return (True, "pairs match, non-transitivity witnessed at (1,2,3)")
 
 
+def _checked_independence_complex(graph) -> SimplicialComplex:
+    """Ind(G), whose facets must be the complements of Berge's minimal
+    transversals of the edges; a difference raises InternalMismatchError."""
+    cx = independence_complex(graph)
+    full = (1 << len(cx.vertices)) - 1
+    berge = {full ^ t for t in _minimal_transversals(edge_ideal(graph).masks())}
+    if set(cx.facets) != berge:
+        raise InternalMismatchError(
+            f"Ind(G) facets of an r={graph.r}, n={graph.n} graph differ from Berge's kernel"
+        )
+    return cx
+
+
 def criterion_5_cohen_macaulay(seed: int) -> tuple[bool, str]:
-    """Independence complexes of valid constructions are CM; the cycles behave."""
+    """Independence complexes of valid constructions are CM; the cycles behave.
+
+    Every independence complex is also checked against Berge's kernel, which
+    shares no code with the Bron-Kerbosch kernel that lists its facets.
+    """
     rng = random.Random(seed ^ 0xC5)
     problems = []
     count = 0
@@ -274,7 +299,7 @@ def criterion_5_cohen_macaulay(seed: int) -> tuple[bool, str]:
         if not check_family_conditions(fam).passed:
             problems.append(f"family conditions fail for n={fam.n} r={fam.r}")
             continue
-        cx = independence_complex(graph_of_family(fam))
+        cx = _checked_independence_complex(graph_of_family(fam))
         for field in (GF2, RATIONAL):
             cert = is_cohen_macaulay(cx, field)
             if not cert.verdict:
@@ -286,14 +311,14 @@ def criterion_5_cohen_macaulay(seed: int) -> tuple[bool, str]:
         for r in (3, 4):
             for slices in (None, random_staircase_slices(rng, n, r)):
                 g = build_complete_multipartite(n, r, slices)
-                cert = is_cohen_macaulay(independence_complex(g), GF2)
+                cert = is_cohen_macaulay(_checked_independence_complex(g), GF2)
                 if not cert.verdict:
                     problems.append(
                         f"construction n={n} r={r} not CM: witness {cert.witness}"
                     )
                 count += 1
     c5 = cycle_graph(5)
-    cx5 = independence_complex(c5)
+    cx5 = _checked_independence_complex(c5)
     for field in (GF2, RATIONAL):
         if not is_cohen_macaulay(cx5, field).verdict:
             problems.append(f"five-cycle not CM over {field}")
@@ -301,7 +326,7 @@ def criterion_5_cohen_macaulay(seed: int) -> tuple[bool, str]:
         problems.append("five-cycle unexpectedly passes the first structure check")
     if check_theorem2(c5).passed:
         problems.append("five-cycle unexpectedly passes the second structure check")
-    cert4 = is_cohen_macaulay(independence_complex(cycle_graph(4)), GF2)
+    cert4 = is_cohen_macaulay(_checked_independence_complex(cycle_graph(4)), GF2)
     if cert4.verdict:
         problems.append("four-cycle unexpectedly CM")
     elif cert4.witness != ((), 0, 1):
@@ -410,6 +435,8 @@ def run_all(seed: int = DEFAULT_SEED) -> list[CriterionResult]:
         start = time.perf_counter()
         try:
             passed, detail = runs[number]()
+        except InternalMismatchError:
+            raise  # two routes disagree: the CLI exits 3
         except Exception as exc:  # a crash is a failure with the error as detail
             passed, detail = False, f"{type(exc).__name__}: {exc}"
         elapsed = time.perf_counter() - start

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from cmgraphs import RelationFamily
+from cmgraphs import InternalMismatchError, MultipartiteGraph, RelationFamily, duality, verification
 from cmgraphs.cli import main
 from cmgraphs.graphs import build_complete_multipartite, cycle_graph, graph_of_family
 
@@ -214,6 +214,40 @@ def test_identity_grid_of_25_vertices(capsys, write_json):
     rc, out, _ = run(capsys, "dual", path, "--verify")
     assert rc == 0
     assert "verified: brute-force dual agrees" in out
+
+
+def test_identity_grid_of_30_vertices(capsys, write_json):
+    # the r=6, n=5 identity family: 6^5 facets, one per chain
+    path = write_json({"n": 5, "r": 6, "relations": []})
+    rc, out, _ = run(capsys, "graph", "cm", path)
+    assert rc == 0
+    assert "independence complex: 7776 facets" in out
+    assert "Cohen-Macaulay over gf2: yes" in out
+
+
+def test_perfect_matching_of_60_vertices_exits_2(capsys, graph_file):
+    # 2^30 maximal independent sets: the kernel's budget stops the listing
+    matching = MultipartiteGraph(2, 30, frozenset(((1, i), (2, i)) for i in range(1, 31)))
+    rc, out, err = run(capsys, "graph", "cm", graph_file(matching))
+    assert rc == 2
+    assert out == ""
+    assert "E_SIZE" in err
+    assert "maximal independent sets exceed the budget" in err
+
+
+def test_verify_paper_exits_3_when_the_facet_kernels_disagree(capsys, monkeypatch):
+    real = duality._maximal_independent_sets
+    monkeypatch.setattr(duality, "_maximal_independent_sets", lambda m, size: real(m, size)[1:])
+    with pytest.raises(InternalMismatchError, match="differ from Berge's kernel"):
+        verification.criterion_5_cohen_macaulay(verification.DEFAULT_SEED)
+    # run_all lets the mismatch through rather than reporting a failed criterion
+    monkeypatch.setattr(
+        verification, "criterion_1_sample_reproduction", lambda: verification.criterion_5_cohen_macaulay(7)
+    )
+    rc, out, err = run(capsys, "verify-paper")
+    assert rc == 3
+    assert out == ""
+    assert "E_INTERNAL: Ind(G) facets" in err
 
 
 def test_import_leaves_numpy_unloaded():

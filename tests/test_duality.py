@@ -21,7 +21,7 @@ from cmgraphs import (
 )
 from cmgraphs import RelationFamily
 from cmgraphs import duality
-from cmgraphs.duality import _minimal_transversals
+from cmgraphs.duality import _maximal_independent_sets, _minimal_transversals
 from cmgraphs.verification import random_family, random_squarefree_ideal
 
 # Quadratic generators of the dual of the worked example: one X[s,i]*X[t,j]
@@ -114,13 +114,12 @@ def test_complex_of_ideal_rejects_unit():
 def test_complex_of_ideal_budget(monkeypatch):
     # a matching of k edges makes 2 + 4 + ... + 2^k transversals and tests
     # no pairs: no transversal meets the next edge
-    verts = grid_vertices(2, 10)
-    matching = minimalize([Monomial.from_variables(2, 10, [(1, i), (2, i)]) for i in range(1, 11)])
+    matching = [0b11 << 2 * k for k in range(10)]
     monkeypatch.setattr(duality, "TRANSVERSAL_BUDGET", 2**11 - 2)
-    assert len(complex_of_ideal(matching, verts).facets) == 2**10
+    assert len(_minimal_transversals(matching)) == 2**10
     monkeypatch.setattr(duality, "TRANSVERSAL_BUDGET", 2**11 - 3)
     with pytest.raises(SizeBudgetError, match="minimal transversals exceed the budget"):
-        complex_of_ideal(matching, verts)
+        _minimal_transversals(matching)
     # a triangle makes 2 + 1 + 2 transversals and tests 1 + 1 pairs; eight
     # disjoint ones make 16400 transversals but test over 10^7 pairs
     triangle = [0b110, 0b101, 0b011]
@@ -133,6 +132,47 @@ def test_complex_of_ideal_budget(monkeypatch):
     monkeypatch.setattr(duality, "TRANSVERSAL_BUDGET", 100_000)
     with pytest.raises(SizeBudgetError):
         _minimal_transversals(triangles)
+
+
+def test_independent_set_budget(monkeypatch):
+    # on a matching of k edges every pivot branches on both ends of one
+    # edge, so the search makes 2^(k+1) - 1 calls and emits 2^k facets
+    verts = grid_vertices(2, 10)
+    matching = minimalize([Monomial.from_variables(2, 10, [(1, i), (2, i)]) for i in range(1, 11)])
+    monkeypatch.setattr(duality, "INDEPENDENT_SET_BUDGET", 3 * 2**10 - 1)
+    assert len(complex_of_ideal(matching, verts).facets) == 2**10
+    monkeypatch.setattr(duality, "INDEPENDENT_SET_BUDGET", 3 * 2**10 - 2)
+    with pytest.raises(SizeBudgetError, match="maximal independent sets exceed the budget"):
+        complex_of_ideal(matching, verts)
+    # the transversal budget no longer bounds a quadratic ideal
+    monkeypatch.setattr(duality, "INDEPENDENT_SET_BUDGET", 3 * 2**10 - 1)
+    monkeypatch.setattr(duality, "TRANSVERSAL_BUDGET", 0)
+    assert len(complex_of_ideal(matching, verts).facets) == 2**10
+
+
+def test_maximal_independent_sets_hand_cases():
+    # no vertices, every vertex removed by a degree-1 generator, a path
+    assert _maximal_independent_sets([], 0) == [0]
+    assert _maximal_independent_sets([0b01, 0b10], 2) == [0]
+    assert sorted(_maximal_independent_sets([0b011, 0b110], 3)) == [0b010, 0b101]
+    assert sorted(_maximal_independent_sets([0b011, 0b100], 4)) == [0b1001, 0b1010]
+
+
+def test_complex_of_ideal_sends_degree_three_to_berge(monkeypatch):
+    def refuse(masks, size):
+        raise AssertionError("a cubic generator reached the Bron-Kerbosch kernel")
+
+    monkeypatch.setattr(duality, "_maximal_independent_sets", refuse)
+    ideal = MonomialIdeal(
+        1,
+        4,
+        (
+            Monomial.from_variables(1, 4, [(1, 1)]),
+            Monomial.from_variables(1, 4, [(1, 2), (1, 3), (1, 4)]),
+        ),
+    )
+    cx = complex_of_ideal(ideal, grid_vertices(1, 4))
+    assert set(cx.facets) == {0b0110, 0b1010, 0b1100}
 
 
 def test_complex_of_ideal_lists_facets_in_canonical_order():

@@ -245,6 +245,18 @@ def test_gfp_kernel_raises_on_a_leading_lane_outside_the_residues():
                 _rank_gfp([pivot, lead << w | 1], p)
 
 
+def test_gfp_kernel_raises_on_a_new_pivot_outside_the_residues():
+    # a lane holding p or more has no inverse mod p; it must not reach pow
+    assert _rank_gfp([2], 3) == {0}
+    with pytest.raises(InternalMismatchError, match="new pivot entry 3"):
+        _rank_gfp([3], 3)
+    for p in (3, 5, 7):
+        w = _lane_width(p)
+        for lead in range(p, 1 << w):
+            with pytest.raises(InternalMismatchError, match="residue"):
+                _rank_gfp([lead << w | 1], p)
+
+
 def test_lane_sums_up_to_two_p_minus_two_stay_in_their_lanes():
     # adding the pivot [p-1, p-1, p-1, 1] (highest lane last) to a row of
     # p-1 takes three adjacent lanes to 2p - 2 and the leading lane to p

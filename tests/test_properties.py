@@ -2,7 +2,9 @@
 orders extend componentwise inclusion, and the facets of the family graph's
 independence complex are the complements of the chain-monomial supports.
 Generated-ideal and generated-complex properties: the double dual is the
-identity, and the CM verdict does not depend on vertex order."""
+identity, the CM verdict does not depend on vertex order, and the
+Bron-Kerbosch facets of quadratic ideals and r-partite graphs are the
+complements of Berge's minimal transversals."""
 
 import random
 
@@ -16,12 +18,14 @@ from cmgraphs import (  # noqa: E402
     GF2,
     RATIONAL,
     Monomial,
+    MultipartiteGraph,
     RelationFamily,
     SimplicialComplex,
     alexander_dual_complex,
     build_hr,
     chain_compare,
     chain_monomial,
+    complex_of_ideal,
     dual_hr_fast,
     dual_ideal_bruteforce,
     edge_ideal,
@@ -34,6 +38,7 @@ from cmgraphs import (  # noqa: E402
     minimalize,
     random_linear_extension,
 )
+from cmgraphs.duality import _minimal_transversals  # noqa: E402
 
 
 @st.composite
@@ -124,3 +129,53 @@ def test_cm_verdict_does_not_depend_on_vertex_order(pair):
     assert sorted(map(sorted, cx.facet_sets())) == sorted(map(sorted, moved.facet_sets()))
     for field in (GF2, RATIONAL):
         assert is_cohen_macaulay(cx, field).verdict == is_cohen_macaulay(moved, field).verdict
+
+
+def _berge_facets(masks, size: int) -> set[int]:
+    full = (1 << size) - 1
+    return {full ^ t for t in _minimal_transversals(masks)}
+
+
+@st.composite
+def quadratic_ideals(draw):
+    """Ideals generated in degree <= 2 on grids of up to 80 vertices, so
+    masks pass the 64-bit word: the zero ideal, degree-1 generators, and
+    vertices in no generator."""
+    r = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 20))
+    size = r * n
+    supports = draw(
+        st.lists(st.sets(st.integers(0, size - 1), min_size=1, max_size=2), max_size=14)
+    )
+    return minimalize([Monomial(r, n, sum(1 << p for p in s)) for s in supports], r=r, n=n)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(quadratic_ideals())
+def test_quadratic_ideal_facets_match_minimal_transversals(ideal):
+    size = ideal.r * ideal.n
+    cx = complex_of_ideal(ideal, grid_vertices(ideal.r, ideal.n))
+    assert set(cx.facets) == _berge_facets(ideal.masks(), size)
+
+
+@st.composite
+def multipartite_graphs(draw):
+    """Arbitrary r-partite graphs on the r x n grid, not only family graphs."""
+    r = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 4))
+    pairs = [
+        ((a, i), (b, j))
+        for a in range(1, r + 1)
+        for b in range(a + 1, r + 1)
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+    ]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=24))
+    return MultipartiteGraph(r, n, frozenset(edges))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(multipartite_graphs())
+def test_independence_complex_matches_minimal_transversals(graph):
+    cx = independence_complex(graph)
+    assert set(cx.facets) == _berge_facets(edge_ideal(graph).masks(), graph.r * graph.n)
