@@ -77,11 +77,9 @@ from .homology import (
 from .monomials import (
     Monomial,
     MonomialIdeal,
-    divides,
     minimalize,
     parse_ideal_lines,
     parse_monomial,
-    quotient_generator,
     read_ideal,
     write_ideal,
 )

@@ -1,7 +1,7 @@
 """Command-line surface for the package.
 
 Verbs: ideals, hr build|check-lq|gamma, dual, graph build|check|cm,
-cm check, verify-paper.  Exit codes: 0 success, 1 a mathematical condition
+verify-paper.  Exit codes: 0 success, 1 a mathematical condition
 failed, 2 bad input, 3 internal mismatch between two computations that must
 agree (always a bug), 141 (128 + SIGPIPE) the reader closed stdout early.
 All output is deterministic given inputs, flags and seed; --format json
@@ -359,34 +359,26 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.set_defaults(func=cmd_graph_check)
 
-    def add_cm_args(p):
-        p.add_argument("path", help="family or graph file")
-        p.add_argument(
-            "--field",
-            default="gf2",
-            help="coefficient field: gf2, rational or gfp:<p> with p an odd prime",
-        )
-        p.add_argument(
-            "--budget-faces",
-            type=int,
-            default=DEFAULT_FACE_BUDGET,
-            help="maximum faces per homology computation",
-        )
-        p.add_argument(
-            "--witness",
-            action="store_true",
-            help="print the facets of a failing link",
-        )
-        add_format(p)
-        p.set_defaults(func=cmd_graph_cm)
-
     p = graph_sub.add_parser("cm", help="Cohen-Macaulay verdict for a graph")
-    add_cm_args(p)
-
-    cm = sub.add_parser("cm", help="Cohen-Macaulay commands")
-    cm_sub = cm.add_subparsers(dest="subcommand", required=True)
-    p = cm_sub.add_parser("check", help="Cohen-Macaulay verdict for a graph")
-    add_cm_args(p)
+    p.add_argument("path", help="family or graph file")
+    p.add_argument(
+        "--field",
+        default="gf2",
+        help="coefficient field: gf2, rational or gfp:<p> with p an odd prime",
+    )
+    p.add_argument(
+        "--budget-faces",
+        type=int,
+        default=DEFAULT_FACE_BUDGET,
+        help="maximum faces per homology computation",
+    )
+    p.add_argument(
+        "--witness",
+        action="store_true",
+        help="print the facets of a failing link",
+    )
+    add_format(p)
+    p.set_defaults(func=cmd_graph_cm)
 
     p = sub.add_parser("verify-paper", help="run the full verification suite")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)

@@ -1,8 +1,11 @@
 """Simplicial complexes, squarefree-ideal dictionaries, and Alexander duals.
 
 Complexes are stored as facet bitmasks over an explicit vertex tuple.  The
-vertex universe is always passed explicitly: inferring it from variable
-occurrences silently changes duals.
+complex of an ideal lives on the whole variable grid of the ideal's ring,
+`grid_vertices(r, n)`: bit k of a monomial's mask is the k-th grid label, so
+generator masks serve as faces as they are.  Callers still pass the grid,
+and any other vertex tuple is refused; inferring the vertices from the
+variables that occur would silently change duals.
 
 Two dual computations are provided.  The brute-force path goes through the
 complex of an ideal and takes complements of facets; the fast path emits the
@@ -248,21 +251,6 @@ def grid_vertices(r: int, n: int) -> tuple:
     return tuple((a, i) for a in range(1, r + 1) for i in range(1, n + 1))
 
 
-def _gen_masks_over(ideal: MonomialIdeal, vertices) -> list[int]:
-    pos = {v: k for k, v in enumerate(vertices)}
-    masks = []
-    for g in ideal.gens:
-        m = 0
-        for var in g.variables():
-            if var not in pos:
-                raise RangeError(
-                    f"generator variable {vertex_label_str(var)} is outside the vertex set"
-                )
-            m |= 1 << pos[var]
-        masks.append(m)
-    return masks
-
-
 def complex_of_ideal(ideal: MonomialIdeal, vertices) -> SimplicialComplex:
     """The complex whose faces are the subsets containing no generator support.
 
@@ -272,12 +260,18 @@ def complex_of_ideal(ideal: MonomialIdeal, vertices) -> SimplicialComplex:
     has degree <= 2 the facets are the maximal independent sets of the graph
     of the degree-2 supports, less the degree-1 vertices, and the
     Bron-Kerbosch kernel lists them; any generator of degree >= 3 sends the
-    ideal to Berge's minimal-transversal kernel.
+    ideal to Berge's minimal-transversal kernel.  The vertices must be
+    `grid_vertices(ideal.r, ideal.n)`, the layout of the generator masks;
+    any other tuple raises RangeError.
     """
     vertices = tuple(vertices)
+    if vertices != grid_vertices(ideal.r, ideal.n):
+        raise RangeError(
+            f"the vertices must be the variable grid of the ring r={ideal.r}, n={ideal.n}"
+        )
     if ideal.is_unit():
         raise UnitIdealError("the unit ideal corresponds to no complex")
-    masks = _gen_masks_over(ideal, vertices)
+    masks = ideal.masks()
     if all(m.bit_count() <= 2 for m in masks):
         facets = _maximal_independent_sets(masks, len(vertices))
     else:
@@ -304,17 +298,14 @@ def dual_ideal_bruteforce(ideal: MonomialIdeal, vertices) -> MonomialIdeal:
     """Alexander dual by the complement-of-facets rule.
 
     Generators are the products of the vertices missing from each facet of
-    the ideal's complex.  The zero ideal dualizes to the unit ideal (its
-    complex is the full simplex, whose lone facet has empty complement).
+    the ideal's complex; over the ideal's grid, which `complex_of_ideal`
+    checks the vertices are, a facet's complement is the generator's mask.
+    The zero ideal dualizes to the unit ideal (its complex is the full
+    simplex, whose lone facet has empty complement).
     """
-    vertices = tuple(vertices)
     cx = complex_of_ideal(ideal, vertices)
-    full = (1 << len(vertices)) - 1
-    gens = []
-    for f in cx.facets:
-        comp = full ^ f
-        variables = [vertices[k] for k in range(len(vertices)) if comp >> k & 1]
-        gens.append(Monomial.from_variables(ideal.r, ideal.n, variables))
+    full = (1 << len(cx.vertices)) - 1
+    gens = [Monomial(ideal.r, ideal.n, full ^ f) for f in cx.facets]
     return minimalize(gens, r=ideal.r, n=ideal.n)
 
 

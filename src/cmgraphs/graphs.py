@@ -504,6 +504,9 @@ def graph_from_dict(doc) -> MultipartiteGraph:
         r, n, edges = doc["r"], doc["n"], doc["edges"]
     except KeyError as exc:
         raise ParseError(f"graph document missing key {exc}") from None
+    # JSON gives floats, strings and booleans too; bool is a subclass of int
+    if type(r) is not int or type(n) is not int:
+        raise ParseError(f"'r' and 'n' must be integers, got r={r!r}, n={n!r}")
     if not isinstance(edges, list):
         raise ParseError("'edges' must be a list")
     parsed = set()
@@ -512,6 +515,8 @@ def graph_from_dict(doc) -> MultipartiteGraph:
             (a, i), (b, j) = e
         except (TypeError, ValueError):
             raise ParseError(f"malformed edge {e!r}") from None
+        if any(type(x) is not int for x in (a, i, b, j)):
+            raise ParseError(f"edge {e!r} has a coordinate that is not an integer")
         parsed.add(_canonical_edge((a, i), (b, j)))
     try:
         return MultipartiteGraph(r, n, frozenset(parsed))

@@ -152,15 +152,6 @@ class MonomialIdeal:
         return cls(r, n, sort_gens(Monomial(r, n, m) for m in masks))
 
 
-def divides(u: Monomial, v: Monomial) -> bool:
-    return u.divides(v)
-
-
-def quotient_generator(u_k: Monomial, u_i: Monomial) -> Monomial:
-    """Squarefree quotient u_k / gcd(u_k, u_i): support difference."""
-    return u_k.quotient_generator(u_i)
-
-
 def sort_gens(gens) -> tuple[Monomial, ...]:
     # canonical order: degree, then lexicographic on the sorted variable tuple
     return tuple(sorted(gens, key=lambda g: (g.degree(), g.variables())))

@@ -65,21 +65,47 @@ def test_malformed_file_exits_2(capsys, tmp_path):
     assert "E_PARSE" in err
 
 
-@pytest.mark.parametrize("payload", [5, [], "x"], ids=["int", "list", "str"])
+FAMILY_VERBS = [
+    ("ideals",),
+    ("hr", "build"),
+    ("hr", "check-lq"),
+    ("hr", "gamma", "{path}", "X[1,1]"),
+    ("dual",),
+]
+GRAPH_VERBS = [
+    ("graph", "build"),
+    ("graph", "check", "{path}", "--which", "thm1"),
+    ("graph", "cm"),
+]
+NON_OBJECTS = {"int": 5, "list": [], "str": "x"}
+# graph documents with a field that is not an int; a family document has no
+# edges, so only the graph verbs read these
+NON_INTEGER_GRAPHS = {
+    "r-str": {"r": "3", "n": 1, "edges": []},
+    "r-bool": {"r": True, "n": 2, "edges": []},
+    "n-float": {"r": 3, "n": 1.5, "edges": []},
+    "coord-str": {"r": 2, "n": 2, "edges": [[[1, "a"], [2, 1]]]},
+    "coord-float": {"r": 2, "n": 2, "edges": [[[1, 2.0], [2, 1]]]},
+    "coord-bool": {"r": 2, "n": 2, "edges": [[[1, True], [2, 1]]]},
+}
+
+
+def _verb_id(verb):
+    return "-".join(verb[:2]).replace("-{path}", "")
+
+
 @pytest.mark.parametrize(
-    "verb",
+    "verb, payload",
     [
-        ("ideals",),
-        ("hr", "build"),
-        ("hr", "check-lq"),
-        ("hr", "gamma", "{path}", "X[1,1]"),
-        ("dual",),
-        ("graph", "build"),
-        ("graph", "check", "{path}", "--which", "thm1"),
-        ("graph", "cm"),
-        ("cm", "check"),
+        pytest.param(verb, payload, id=f"{_verb_id(verb)}-{name}")
+        for verb in FAMILY_VERBS + GRAPH_VERBS
+        for name, payload in NON_OBJECTS.items()
+    ]
+    + [
+        pytest.param(verb, payload, id=f"{_verb_id(verb)}-{name}")
+        for verb in GRAPH_VERBS
+        for name, payload in NON_INTEGER_GRAPHS.items()
     ],
-    ids=lambda verb: "-".join(verb[:2]).replace("-{path}", ""),
 )
 def test_non_object_document_exits_2(capsys, write_json, verb, payload):
     path = write_json(payload)
@@ -193,7 +219,7 @@ def test_graph_cm_verdicts(capsys, graph_file):
     assert "Cohen-Macaulay over gf2: yes" in out
 
     c4 = graph_file(cycle_graph(4), "c4.json")
-    rc, out, _ = run(capsys, "cm", "check", c4, "--witness")
+    rc, out, _ = run(capsys, "graph", "cm", c4, "--witness")
     assert rc == 1
     assert "Cohen-Macaulay over gf2: NO" in out
     assert "link of {} has rank 1 in dimension 0" in out
@@ -202,10 +228,10 @@ def test_graph_cm_verdicts(capsys, graph_file):
 
 def test_cm_field_flag(capsys, graph_file):
     c5 = graph_file(cycle_graph(5), "c5.json")
-    rc, out, _ = run(capsys, "cm", "check", c5, "--field", "rational")
+    rc, out, _ = run(capsys, "graph", "cm", c5, "--field", "rational")
     assert rc == 0
     assert "over rational: yes" in out
-    rc, _, err = run(capsys, "cm", "check", c5, "--field", "gf9")
+    rc, _, err = run(capsys, "graph", "cm", c5, "--field", "gf9")
     assert rc == 2
     assert "E_PARSE" in err
 

@@ -111,6 +111,24 @@ def test_complex_of_ideal_rejects_unit():
         complex_of_ideal(unit, grid_vertices(1, 2))
 
 
+@pytest.mark.parametrize("build", [complex_of_ideal, dual_ideal_bruteforce])
+@pytest.mark.parametrize(
+    "vertices",
+    [
+        grid_vertices(2, 2)[::-1],
+        grid_vertices(2, 2)[:3],
+        grid_vertices(2, 2) + ((3, 1),),
+    ],
+    ids=["permuted", "shorter", "longer"],
+)
+def test_vertices_must_be_the_ideal_grid(build, vertices):
+    # generator masks are read over the ring's own grid; any other vertex
+    # tuple would relabel or pad the complex
+    ideal = minimalize([Monomial.from_variables(2, 2, [(1, 1), (2, 2)])])
+    with pytest.raises(RangeError, match="variable grid"):
+        build(ideal, vertices)
+
+
 def test_complex_of_ideal_budget(monkeypatch):
     # a matching of k edges makes 2 + 4 + ... + 2^k transversals and tests
     # no pairs: no transversal meets the next edge
