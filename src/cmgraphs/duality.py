@@ -122,6 +122,16 @@ def _maximal_independent_sets(masks, size: int) -> list[int]:
             high = m ^ low
             closed[low.bit_length() - 1] |= high
             closed[high.bit_length() - 1] |= low
+    return _maximal_independent_subsets(closed, cand)
+
+
+def _maximal_independent_subsets(closed: list[int], cand: int) -> list[int]:
+    """The maximal independent sets of the graph induced on the vertex mask cand.
+
+    closed[v] is the closed neighbourhood of vertex v, v's own bit included;
+    bits outside cand are ignored.  This is the kernel of
+    _maximal_independent_sets, under the same budget.
+    """
     facets: list[int] = []
     work = 0
     stack = [(0, cand, 0)]
@@ -157,6 +167,31 @@ def _maximal_independent_sets(masks, size: int) -> list[int]:
     return facets
 
 
+# one translation table per bit of a byte: a byte goes to ASCII "1" when that
+# bit is set and to "0" when it is clear
+_BIT_DIGITS = tuple(
+    bytes(b"01"[x >> bit & 1] for x in range(256)) for bit in range(8)
+)
+
+
+def _facet_columns(size: int, facets) -> list[int]:
+    """The facets transposed: bit k of column v is set when facet k contains vertex v.
+
+    The facets are packed side by side, a whole number of bytes each, and
+    column v is the byte at v's offset in every facet, each read as a "0"
+    or "1" digit of v's bit and the string parsed in base 2, so no Python
+    loop runs over the facets' vertices.
+    """
+    width = (size + 7) >> 3
+    packed = b"".join(f.to_bytes(width, "little") for f in facets)
+    if not packed:
+        return [0] * size
+    return [
+        int(packed[v >> 3 :: width].translate(_BIT_DIGITS[v & 7])[::-1], 2)
+        for v in range(size)
+    ]
+
+
 def vertex_label_str(label) -> str:
     if isinstance(label, tuple) and len(label) == 2:
         return f"X[{label[0]},{label[1]}]"
@@ -187,17 +222,24 @@ class SimplicialComplex:
                 raise RangeError(f"facet {f:#x} out of vertex range")
         if len(set(self.facets)) < len(self.facets):
             raise RangeError("a facet is listed twice")
-        # distinct facets of one size are never nested, so compare each
-        # size group only against the larger facets
-        by_size: dict[int, list[int]] = {}
-        for f in self.facets:
-            by_size.setdefault(f.bit_count(), []).append(f)
-        larger: list[int] = []
-        for size in sorted(by_size, reverse=True):
-            group = by_size[size]
-            if larger and any(f & ~g == 0 for f in group for g in larger):
-                raise RangeError("facets must form an inclusion antichain")
-            larger += group
+        # f lies inside another facet exactly when a larger one contains it.
+        # With the facets at positions in descending size, those are the
+        # positions below the first of f's size, and the ones containing f
+        # are the AND of the columns of f's vertices.
+        ordered = sorted(self.facets, key=int.bit_count, reverse=True)
+        if ordered and ordered[-1].bit_count() < ordered[0].bit_count():
+            cols = _facet_columns(len(self.vertices), ordered)
+            start = 0
+            for k, f in enumerate(ordered):
+                if f.bit_count() < ordered[start].bit_count():
+                    start = k
+                above = (1 << start) - 1
+                while f and above:
+                    low = f & -f
+                    f ^= low
+                    above &= cols[low.bit_length() - 1]
+                if above:
+                    raise RangeError("facets must form an inclusion antichain")
 
     @classmethod
     def make(cls, vertices, face_masks) -> SimplicialComplex:

@@ -173,7 +173,7 @@ def complement_is_chordal(graph: MultipartiteGraph) -> bool:
 
 def edge_count_expected(n: int, r: int) -> int:
     """Edge count of the fully complete construction, with the closed form checked."""
-    if not (isinstance(n, int) and isinstance(r, int)) or n < 1 or r < 2:
+    if type(n) is not int or type(r) is not int or n < 1 or r < 2:
         raise RangeError(f"need integers n >= 1 and r >= 2, got n={n!r}, r={r!r}")
     if (r - 1) * n > 10**6:
         raise OverflowInputError(f"grid of {(r - 1) * n} vertices is beyond any desk scale")
@@ -191,7 +191,7 @@ def build_complete_multipartite(n: int, r: int, slices=None) -> MultipartiteGrap
     slices[a-1] is the set of index pairs (i, j) wired between level a and
     level r; None means the full staircase {(i, j) : i <= j} for every part.
     """
-    if not (isinstance(n, int) and isinstance(r, int)) or n < 1 or r < 2:
+    if type(n) is not int or type(r) is not int or n < 1 or r < 2:
         raise RangeError(f"need integers n >= 1 and r >= 2, got n={n!r}, r={r!r}")
     if slices is None:
         slices = [

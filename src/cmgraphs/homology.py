@@ -28,17 +28,42 @@ Faces are listed from the facets, each once as a child of its parent: the
 parent of a face F is F less its lowest vertex.  No subset lattice is built,
 so no vertex count bounds a complex; only the face budget does.
 
-The Cohen-Macaulay verdict follows the local-homology criterion: a complex
-is CM over the field iff for every face, every reduced homology rank of its
-link vanishes strictly below the link's dimension.  The oracle enumerates
-the complex's faces once and walks them level by level along the same
-parent relation: with v the lowest vertex of F, the link of F is read off the
-parent's link as the facets (and faces) that contain v, with v removed.  No
-link is found by scanning the facets of the complex, and no link's face
-lattice is enumerated again: a link's faces are derived only when its facet
-set is new to the memo.  Two kinds of link need no homology at all: a cone,
-whose facets share a vertex, is acyclic over every field, and a link of
-dimension at most 0 cannot hold a rank below its dimension.
+The Cohen-Macaulay verdict follows Reisner's local-homology criterion: a
+complex is CM over the field iff for every face, every reduced homology rank
+of its link vanishes strictly below the link's dimension.  Two walks apply
+it, and is_cohen_macaulay picks one from the complex itself.
+
+The graph walk (_cm_by_graph) runs on every flag complex that covers its
+vertices: such a complex is Ind(G), G the graph of the vertex pairs that
+share no facet, and the link of a face F is Ind(G[V - N[F]]), so a link is
+named by one vertex mask W and the walk is memoized on the distinct W, not
+on faces.  Each simplification it makes is exact over every field.  A
+disconnected W is a join of its components' complexes, and a join is CM
+exactly when every factor is; an isolated vertex is such a component, so
+Ind(G[W]) is a cone over it.  Since the links of nonempty faces are links
+in vertex links, the complex is CM iff every vertex link is CM and the
+complex itself has no homology below its dimension; CM complexes are pure,
+so vertex links of different dimensions end the walk at once.  That
+homology is taken only after Engström's fold lemma (2009) has removed every
+v with N(u) ⊆ N(v) for some other u, which keeps the homotopy type; a
+folded graph with an isolated vertex is a cone, so acyclic, and one that
+splits gets the ranks of a join from its components by the Künneth formula.
+Only the fold-free components reach a boundary rank, through the same face
+lists and clearing as reduced_homology, so the face budget and the
+negative-rank guard hold there too.
+
+The face walk (_cm_by_faces) takes every other complex: non-flag ones, {∅},
+and those with a vertex in no facet.  It also gives the witness of every
+negative verdict, the least offending face by labels, so both routes report
+the same witness.  It enumerates the complex's faces once and walks them
+level by level along the parent relation: with v the lowest vertex of F,
+the link of F is read off the parent's link as the facets (and faces) that
+contain v, with v removed.  No link is found by scanning the facets of the
+complex, and no link's face lattice is enumerated again: a link's faces are
+derived only when its facet set is new to the memo.  Two kinds of link need
+no homology at all: a cone, whose facets share a vertex, is acyclic over
+every field, and a link of dimension at most 0 cannot hold a rank below its
+dimension.
 """
 
 from __future__ import annotations
@@ -46,7 +71,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .duality import SimplicialComplex
+from .duality import SimplicialComplex, _facet_columns, _maximal_independent_subsets
 from .errors import (
     InternalMismatchError,
     NotFaceError,
@@ -477,12 +502,12 @@ def is_pure(cx: SimplicialComplex) -> tuple[bool, set[int]]:
     return (len(sizes) <= 1, sizes)
 
 
-def is_cohen_macaulay(
+def _cm_by_faces(
     cx: SimplicialComplex,
     field: FieldChoice = GF2,
     face_budget: int = DEFAULT_FACE_BUDGET,
 ) -> CMCertificate:
-    """Local-homology criterion over the chosen field, with a minimal witness.
+    """The face walk: Reisner's criterion face by face, with the minimal witness.
 
     Every face is visited in ascending (size, mask) order, the empty face
     first; link homology profiles are memoized by the link's facet set.  On
@@ -560,6 +585,240 @@ def is_cohen_macaulay(
             key=lambda w: (w[0].bit_count(), _labels_of(cx, w[0]), w[1]),
         )
         return CMCertificate(False, field, (_labels_of(cx, face_mask), d, h))
+    pure, sizes = is_pure(cx)
+    if not pure:
+        raise InternalMismatchError(
+            f"complex passed the local-homology criterion but is impure: sizes {sorted(sizes)}"
+        )
+    return CMCertificate(True, field)
+
+
+# ---------------------------------------------------------------------------
+# the graph walk: flag complexes as independence complexes
+# ---------------------------------------------------------------------------
+
+
+def _flag_graph(cx: SimplicialComplex) -> list[int] | None:
+    """Neighbourhood masks of the graph G with Ind(G) = cx, or None if there is none.
+
+    G joins the vertex pairs that share no facet, read off the facet
+    columns.  Its maximal independent sets are the facets exactly when cx
+    is flag; the complex {∅}, a complex with a vertex in no facet and a
+    non-flag complex give None.  So does a graph whose maximal independent
+    sets outrun the Bron-Kerbosch budget; the face walk then decides under
+    its own budget.
+    """
+    size = len(cx.vertices)
+    cols = _facet_columns(size, cx.facets)  # the facets that contain each vertex
+    if not size or not all(cols):
+        return None
+    nbr = [0] * size
+    for u in range(size):
+        for v in range(u + 1, size):
+            if not cols[u] & cols[v]:
+                nbr[u] |= 1 << v
+                nbr[v] |= 1 << u
+    full = (1 << size) - 1
+    try:
+        facets = _maximal_independent_subsets([m | 1 << v for v, m in enumerate(nbr)], full)
+    except SizeBudgetError:
+        return None
+    if len(facets) != len(cx.facets) or set(facets) != set(cx.facets):
+        return None
+    return nbr
+
+
+def _bits(mask: int):
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
+def _components(nbr: list[int], w: int) -> list[int]:
+    """The vertex masks of the connected components of G[w]."""
+    parts = []
+    while w:
+        part = frontier = w & -w
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                reach |= nbr[low.bit_length() - 1]
+            frontier = reach & w & ~part
+            part |= frontier
+        parts.append(part)
+        w ^= part
+    return parts
+
+
+def _fold(nbr: list[int], w: int) -> int:
+    """w less every vertex v that some other vertex u of G[w] folds: N(u) ⊆ N(v).
+
+    Removing v keeps the homotopy type of Ind(G[w]) (Engström's fold lemma:
+    the link of v in Ind(G[w]) is a cone with apex u).  Such a u and v are
+    not adjacent and share every neighbour of u, so the v for a u with a
+    neighbour x are found among the neighbours of x.  Folds repeat until
+    none is left.  A vertex isolated in G[w] would fold every other vertex;
+    the caller treats a folded graph with one as a cone instead, so only
+    folds by vertices with a neighbour are made here.
+    """
+    folded = True
+    while folded:
+        folded = False
+        for u in _bits(w):
+            near = nbr[u] & w
+            if not w >> u & 1 or not near:
+                continue
+            x = (near & -near).bit_length() - 1
+            for v in _bits(nbr[x] & w & ~(1 << u)):
+                if not near & ~nbr[v]:
+                    w ^= 1 << v
+                    folded = True
+    return w
+
+
+def _join_ranks(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Reduced Betti numbers of a join from those of its factors, over a field.
+
+    Künneth for joins: H̃_{i+j+1}(A * B) is the sum of H̃_i(A) ⊗ H̃_j(B).
+    {∅}, with rank 1 at dimension -1 alone, is the unit.
+    """
+    out: dict[int, int] = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j + 1] = out.get(i + j + 1, 0) + x * y
+    return out
+
+
+def _cm_by_graph(nbr: list[int], field: FieldChoice, face_budget: int) -> bool:
+    """Whether Ind(G) is Cohen-Macaulay over the field, for G given by neighbourhood masks.
+
+    The walk runs on vertex masks W, memoized: the link of a face F in
+    Ind(G) is Ind(G[V - N[F]]), so every link is Ind(G[W]) for some W.  The
+    verdict at W, with the independence number α of G[W] when it is CM:
+      - W empty: {∅}, CM with α = 0;
+      - a disconnected W is a join of its components' complexes, CM exactly
+        when every factor is; α is the sum.  An isolated vertex is a
+        component of its own, a point, so Ind(G[W]) is a cone over it and
+        the rest decides;
+      - otherwise every vertex link W - N[v] must be CM with one common α,
+        s (a CM complex is pure), α(W) = s + 1, and H̃_d(Ind(G[W])) must
+        vanish for every d < s, Reisner's condition at the empty face.
+    That homology is taken after folds (_fold) and memoized by the folded
+    mask: a folded graph with an isolated vertex is a cone, so acyclic; one
+    that splits has the join's ranks (_join_ranks) of its components, and a
+    component's ranks come from its faces through _faces_by_dim and
+    _homology_of_faces.  States are generators on an explicit stack, so no
+    graph reaches the recursion limit, and their number is held to the face
+    budget, since each is the link of at least one face.
+    """
+    closed = [m | 1 << v for v, m in enumerate(nbr)]
+    homology: dict[int, dict[int, int]] = {}  # folded mask -> nonzero ranks
+
+    def ranks(w: int) -> dict[int, int]:
+        w = _fold(nbr, w)
+        if w in homology:
+            return homology[w]
+        if any(not nbr[v] & w for v in _bits(w)):
+            out = {}  # a cone
+        else:
+            out = {-1: 1}
+            for part in _components(nbr, w):
+                if part not in homology:
+                    faces = _faces_by_dim(_maximal_independent_subsets(closed, part), face_budget)
+                    homology[part] = {
+                        d: h for d, h in _homology_of_faces(faces, field).ranks if h
+                    }
+                out = _join_ranks(out, homology[part])
+        homology[w] = out
+        return out
+
+    def walk(w: int):
+        if not w:
+            return 0
+        parts = _components(nbr, w)
+        if len(parts) > 1:
+            total = 0
+            for part in parts:
+                s = yield part
+                if s is None:
+                    return None
+                total += s
+            return total
+        common = None
+        for v in _bits(w):
+            s = yield w & ~closed[v]
+            if s is None or common is not None and s != common:
+                return None
+            common = s
+        if common and any(d < common for d in ranks(w)):
+            return None
+        return common + 1
+
+    root = (1 << len(nbr)) - 1
+    alpha: dict[int, int | None] = {}  # W -> α(G[W]) if Ind(G[W]) is CM, else None
+    stack = [(root, walk(root))]
+    value = None
+    while stack:
+        w, state = stack[-1]
+        try:
+            child = state.send(value)
+        except StopIteration as stop:
+            alpha[w] = value = stop.value
+            stack.pop()
+            continue
+        if child in alpha:
+            value = alpha[child]
+        else:
+            if len(alpha) + len(stack) > face_budget:
+                raise SizeBudgetError(
+                    f"{len(alpha) + len(stack)} link states exceed the budget of {face_budget}"
+                )
+            stack.append((child, walk(child)))
+            value = None
+    return alpha[root] is not None
+
+
+def is_cohen_macaulay(
+    cx: SimplicialComplex,
+    field: FieldChoice = GF2,
+    face_budget: int = DEFAULT_FACE_BUDGET,
+) -> CMCertificate:
+    """Reisner's local-homology criterion over the chosen field, with a minimal witness.
+
+    Reisner: the complex is CM iff no link of a face, the empty face
+    included, has reduced homology below its dimension.  A flag complex in
+    which every vertex lies in a facet is Ind(G) for the graph G of the
+    vertex pairs that share no facet, and its verdict comes from the graph
+    walk (_cm_by_graph), which never lists the faces of the whole complex.
+    Its steps are exact over every field: a link is Ind(G[W]) for a vertex
+    mask W; Ind of a disconnected graph is a join, CM exactly when every
+    factor is, and an isolated vertex makes it a cone, so acyclic; the
+    complex is CM iff its vertex links are CM, of one dimension since CM
+    complexes are pure, and it has no homology below its dimension; and
+    folding v away when N(u) ⊆ N(v) keeps the homotopy type (Engström's
+    fold lemma), so that homology is ranked only on fold-free components
+    and combined by the Künneth formula for joins.
+
+    Any other complex, {∅} included, goes to the face walk (_cm_by_faces).
+    On a negative verdict the face walk also gives the witness: the
+    lexicographically smallest offending (face, dimension) pair, as labels.
+    If it finds none, the two walks disagree and InternalMismatchError is
+    raised.  On success purity is asserted, since the criterion implies it.
+    """
+    nbr = _flag_graph(cx)
+    if nbr is None:
+        return _cm_by_faces(cx, field, face_budget)
+    if not _cm_by_graph(nbr, field, face_budget):
+        cert = _cm_by_faces(cx, field, face_budget)
+        if cert.verdict:
+            raise InternalMismatchError(
+                "the graph walk finds a flag complex not CM that the face walk finds CM"
+            )
+        return cert
     pure, sizes = is_pure(cx)
     if not pure:
         raise InternalMismatchError(

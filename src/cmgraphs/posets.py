@@ -147,12 +147,13 @@ class Relation:
 
 
 def _check_n(n: int) -> None:
-    if not isinstance(n, int) or n < 1:
+    # bool is a subclass of int, and JSON true would count as 1
+    if type(n) is not int or n < 1:
         raise RangeError(f"ground set size must be a positive integer, got {n!r}")
 
 
 def _check_index(i, n: int) -> None:
-    if not isinstance(i, int) or not 1 <= i <= n:
+    if type(i) is not int or not 1 <= i <= n:
         raise RangeError(f"element index {i!r} out of range 1..{n}")
 
 
@@ -238,7 +239,7 @@ class RelationFamily:
 
     def __post_init__(self):
         _check_n(self.n)
-        if not isinstance(self.r, int) or self.r < 2:
+        if type(self.r) is not int or self.r < 2:
             raise RangeError(f"number of parts r must be an integer >= 2, got {self.r!r}")
         if len(self.levels) != self.r - 1:
             raise RangeError(
@@ -260,10 +261,10 @@ class RelationFamily:
 
         Levels absent from the mapping default to the identity relation.
         """
-        if not isinstance(r, int) or r < 2:
+        if type(r) is not int or r < 2:
             raise RangeError(f"number of parts r must be an integer >= 2, got {r!r}")
         for a in level_pairs:
-            if not isinstance(a, int) or not 1 <= a <= r - 1:
+            if type(a) is not int or not 1 <= a <= r - 1:
                 raise LevelError(f"relation level {a!r} out of range 1..{r - 1}")
         levels = tuple(
             close_relation(n, level_pairs.get(a, ())) for a in range(1, r)
@@ -335,7 +336,7 @@ def validate_chain(family: RelationFamily, chain) -> tuple[int, ...]:
         )
     full = (1 << family.n) - 1
     for a, mask in enumerate(chain, start=1):
-        if not isinstance(mask, int) or mask < 0 or mask > full:
+        if type(mask) is not int or mask < 0 or mask > full:
             raise ChainError(f"component {a} is not a subset bitmask of [n]")
         if not is_order_ideal(family.level(a), mask):
             raise ChainError(
@@ -366,6 +367,9 @@ def family_from_dict(doc) -> RelationFamily:
         r = doc["r"]
     except KeyError as exc:
         raise ParseError(f"family document missing key {exc}") from None
+    # JSON gives floats, strings and booleans too; bool is a subclass of int
+    if type(n) is not int or type(r) is not int:
+        raise ParseError(f"'n' and 'r' must be integers, got n={n!r}, r={r!r}")
     relations = doc.get("relations", [])
     if not isinstance(relations, list):
         raise ParseError("'relations' must be a list")
@@ -374,12 +378,17 @@ def family_from_dict(doc) -> RelationFamily:
         if not isinstance(entry, dict) or "level" not in entry:
             raise ParseError(f"malformed relation entry {entry!r}")
         level = entry["level"]
+        if type(level) is not int:
+            raise ParseError(f"relation level {level!r} is not an integer")
         pairs = entry.get("pairs", [])
         if not isinstance(pairs, list):
-            raise ParseError(f"'pairs' of level {level!r} must be a list")
+            raise ParseError(f"'pairs' of level {level} must be a list")
         if level in level_pairs:
-            raise ParseError(f"duplicate relation level {level!r}")
-        level_pairs[level] = [tuple(p) if isinstance(p, list) else p for p in pairs]
+            raise ParseError(f"duplicate relation level {level}")
+        for p in pairs:
+            if not (isinstance(p, list) and len(p) == 2 and all(type(i) is int for i in p)):
+                raise ParseError(f"pair {p!r} of level {level} is not two integer indices")
+        level_pairs[level] = [tuple(p) for p in pairs]
     return RelationFamily.from_pairs(n, r, level_pairs)
 
 

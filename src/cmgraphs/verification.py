@@ -45,7 +45,14 @@ from .graphs import (
     graph_of_family,
     independence_complex,
 )
-from .homology import GF2, RATIONAL, is_cohen_macaulay, reduced_homology
+from .homology import (
+    GF2,
+    RATIONAL,
+    CMCertificate,
+    _cm_by_faces,
+    is_cohen_macaulay,
+    reduced_homology,
+)
 from .monomials import Monomial, minimalize
 from .posets import (
     RelationFamily,
@@ -285,11 +292,26 @@ def _checked_independence_complex(graph) -> SimplicialComplex:
     return cx
 
 
+def _checked_cm(cx: SimplicialComplex, field) -> CMCertificate:
+    """The CM certificate of a flag complex, from the graph walk, whose verdict
+    and witness must equal the face walk's; a difference raises
+    InternalMismatchError."""
+    cert = is_cohen_macaulay(cx, field)
+    by_faces = _cm_by_faces(cx, field)
+    if (cert.verdict, cert.witness) != (by_faces.verdict, by_faces.witness):
+        raise InternalMismatchError(
+            f"CM over {field}: the graph walk gives {cert.verdict}, {cert.witness} "
+            f"and the face walk {by_faces.verdict}, {by_faces.witness}"
+        )
+    return cert
+
+
 def criterion_5_cohen_macaulay(seed: int) -> tuple[bool, str]:
     """Independence complexes of valid constructions are CM; the cycles behave.
 
     Every independence complex is also checked against Berge's kernel, which
-    shares no code with the Bron-Kerbosch kernel that lists its facets.
+    shares no code with the Bron-Kerbosch kernel that lists its facets, and
+    every CM verdict and witness of the graph walk against the face walk's.
     """
     rng = random.Random(seed ^ 0xC5)
     problems = []
@@ -301,7 +323,7 @@ def criterion_5_cohen_macaulay(seed: int) -> tuple[bool, str]:
             continue
         cx = _checked_independence_complex(graph_of_family(fam))
         for field in (GF2, RATIONAL):
-            cert = is_cohen_macaulay(cx, field)
+            cert = _checked_cm(cx, field)
             if not cert.verdict:
                 problems.append(
                     f"family n={fam.n} r={fam.r} not CM over {field}: witness {cert.witness}"
@@ -311,7 +333,7 @@ def criterion_5_cohen_macaulay(seed: int) -> tuple[bool, str]:
         for r in (3, 4):
             for slices in (None, random_staircase_slices(rng, n, r)):
                 g = build_complete_multipartite(n, r, slices)
-                cert = is_cohen_macaulay(_checked_independence_complex(g), GF2)
+                cert = _checked_cm(_checked_independence_complex(g), GF2)
                 if not cert.verdict:
                     problems.append(
                         f"construction n={n} r={r} not CM: witness {cert.witness}"
@@ -320,13 +342,13 @@ def criterion_5_cohen_macaulay(seed: int) -> tuple[bool, str]:
     c5 = cycle_graph(5)
     cx5 = _checked_independence_complex(c5)
     for field in (GF2, RATIONAL):
-        if not is_cohen_macaulay(cx5, field).verdict:
+        if not _checked_cm(cx5, field).verdict:
             problems.append(f"five-cycle not CM over {field}")
     if check_theorem1(c5).passed:
         problems.append("five-cycle unexpectedly passes the first structure check")
     if check_theorem2(c5).passed:
         problems.append("five-cycle unexpectedly passes the second structure check")
-    cert4 = is_cohen_macaulay(_checked_independence_complex(cycle_graph(4)), GF2)
+    cert4 = _checked_cm(_checked_independence_complex(cycle_graph(4)), GF2)
     if cert4.verdict:
         problems.append("four-cycle unexpectedly CM")
     elif cert4.witness != ((), 0, 1):

@@ -11,6 +11,7 @@ from cmgraphs import (
     MultipartiteGraph,
     RelationFamily,
     duality,
+    homology,
     verification,
 )
 from cmgraphs.cli import main
@@ -88,6 +89,16 @@ NON_INTEGER_GRAPHS = {
     "coord-float": {"r": 2, "n": 2, "edges": [[[1, 2.0], [2, 1]]]},
     "coord-bool": {"r": 2, "n": 2, "edges": [[[1, True], [2, 1]]]},
 }
+# family documents with a field that is not an int; JSON true loads as a
+# bool, which Python counts as the int 1
+NON_INTEGER_FAMILIES = {
+    "n-bool": {"n": True, "r": 2, "relations": []},
+    "r-bool": {"n": 2, "r": True, "relations": []},
+    "level-bool": {"n": 2, "r": 3, "relations": [{"level": True, "pairs": [[1, 2]]}]},
+    "level-float": {"n": 2, "r": 3, "relations": [{"level": 1.0, "pairs": []}]},
+    "pair-bool": {"n": 2, "r": 2, "relations": [{"level": 1, "pairs": [[True, 2]]}]},
+    "pair-str": {"n": 2, "r": 2, "relations": [{"level": 1, "pairs": [["1", 2]]}]},
+}
 
 
 def _verb_id(verb):
@@ -105,6 +116,11 @@ def _verb_id(verb):
         pytest.param(verb, payload, id=f"{_verb_id(verb)}-{name}")
         for verb in GRAPH_VERBS
         for name, payload in NON_INTEGER_GRAPHS.items()
+    ]
+    + [
+        pytest.param(verb, payload, id=f"{_verb_id(verb)}-{name}")
+        for verb in FAMILY_VERBS
+        for name, payload in NON_INTEGER_FAMILIES.items()
     ],
 )
 def test_non_object_document_exits_2(capsys, write_json, verb, payload):
@@ -281,6 +297,23 @@ def test_verify_paper_exits_3_when_the_facet_kernels_disagree(capsys, monkeypatc
     assert rc == 3
     assert out == ""
     assert "E_INTERNAL: Ind(G) facets" in err
+
+
+def test_verify_paper_exits_3_when_the_cm_walks_disagree(capsys, monkeypatch):
+    # a graph walk that calls every flag complex CM passes the families and
+    # constructions, and is caught at the four-cycle by the face walk
+    monkeypatch.setattr(homology, "_cm_by_graph", lambda nbr, field, budget: True)
+    with pytest.raises(InternalMismatchError, match="the graph walk gives True, None"):
+        verification.criterion_5_cohen_macaulay(verification.DEFAULT_SEED)
+    monkeypatch.setattr(
+        verification,
+        "criterion_1_sample_reproduction",
+        lambda: verification.criterion_5_cohen_macaulay(7),
+    )
+    rc, out, err = run(capsys, "verify-paper")
+    assert rc == 3
+    assert out == ""
+    assert "E_INTERNAL: CM over gf2" in err
 
 
 def test_import_leaves_numpy_unloaded():

@@ -1,6 +1,7 @@
 """Simplicial complexes, Stanley-Reisner translation, Alexander duality."""
 
 import random
+import time
 
 import pytest
 
@@ -22,6 +23,7 @@ from cmgraphs import (
 from cmgraphs import RelationFamily
 from cmgraphs import duality
 from cmgraphs.duality import _maximal_independent_sets, _minimal_transversals
+from cmgraphs.graphs import MultipartiteGraph, independence_complex
 from cmgraphs.verification import random_family, random_squarefree_ideal
 
 # Quadratic generators of the dual of the worked example: one X[s,i]*X[t,j]
@@ -86,6 +88,44 @@ def test_complex_rejects_facets_that_are_not_an_antichain():
             SimplicialComplex(("a", "b", "c"), facets)
     with pytest.raises(RangeError, match="out of vertex range"):
         SimplicialComplex(("a", "b"), (0b100,))
+
+
+def test_antichain_check_matches_pairwise_reference():
+    rng = random.Random(20261019)
+    outcomes = set()
+    for _ in range(400):
+        size = rng.choice((3, 9, 70))  # facets past one byte and past 64 bits
+        facets = list({rng.getrandbits(size) & rng.getrandbits(size) for _ in range(12)})
+        rng.shuffle(facets)
+        nested = any(f != g and f & ~g == 0 for f in facets for g in facets)
+        outcomes.add(nested)
+        if nested:
+            with pytest.raises(RangeError, match="facets must form an inclusion antichain"):
+                SimplicialComplex(tuple(range(size)), tuple(facets))
+        else:
+            SimplicialComplex(tuple(range(size)), tuple(facets))
+    assert outcomes == {True, False}
+
+
+def test_facet_columns_transpose_the_facets():
+    rng = random.Random(7)
+    for size in (1, 8, 9, 70):
+        facets = [rng.getrandbits(size) for _ in range(rng.randint(0, 20))]
+        cols = duality._facet_columns(size, facets)
+        assert cols == [
+            sum(1 << k for k, f in enumerate(facets) if f >> v & 1) for v in range(size)
+        ]
+
+
+def test_many_facets_of_many_sizes_pass_the_antichain_check_quickly():
+    # Ind of 13 disjoint paths X[1,i]-X[2,i]-X[3,i]: 2^13 facets of sizes 13..26,
+    # which a facet-by-facet comparison took seconds to check
+    paths = [((1, i), (2, i)) for i in range(1, 14)] + [((2, i), (3, i)) for i in range(1, 14)]
+    started = time.perf_counter()
+    cx = independence_complex(MultipartiteGraph(3, 13, frozenset(paths)))
+    assert time.perf_counter() - started < 0.5
+    assert len(cx.facets) == 1 << 13
+    assert {f.bit_count() for f in cx.facets} == set(range(13, 27))
 
 
 def test_void_and_irrelevant_complexes():

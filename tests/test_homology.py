@@ -31,11 +31,24 @@ from cmgraphs import (
     parse_field,
     reduced_homology,
 )
-from cmgraphs.graphs import MultipartiteGraph, cycle_graph
+from cmgraphs import RelationFamily
+from cmgraphs.duality import _maximal_independent_subsets
+from cmgraphs.graphs import (
+    MultipartiteGraph,
+    build_complete_multipartite,
+    cycle_graph,
+    graph_of_family,
+)
 from cmgraphs.homology import (
+    DEFAULT_FACE_BUDGET,
     _boundary_pivots,
+    _cm_by_faces,
+    _cm_by_graph,
     _faces_by_dim,
+    _flag_graph,
+    _fold,
     _homology_of_faces,
+    _join_ranks,
     _lane_width,
     _rank_gf2,
     _rank_gfp,
@@ -361,16 +374,18 @@ def _count_homology_calls(monkeypatch):
     return calls
 
 
+C5_EDGES = frozenset({((a, 1), (a + 1, 1)) for a in range(1, 5)} | {((1, 1), (5, 1))})
+
+
 def test_cm_walk_computes_no_homology_of_cones_or_low_dimensional_links(monkeypatch):
     calls = _count_homology_calls(monkeypatch)
     # C5 on levels 1-5 and an isolated vertex at level 6: Ind(G) is a cone
     # over Ind(C5), and so is every link of a face without the isolated vertex
-    c5_edges = {((a, 1), (a + 1, 1)) for a in range(1, 5)} | {((1, 1), (5, 1))}
-    with_isolated = independence_complex(MultipartiteGraph(6, 1, frozenset(c5_edges)))
+    with_isolated = independence_complex(MultipartiteGraph(6, 1, C5_EDGES))
     ind_c5 = independence_complex(cycle_graph(5))
     for field in (GF2, gfp(3), RATIONAL):
         calls.clear()
-        assert is_cohen_macaulay(with_isolated, field).verdict
+        assert _cm_by_faces(with_isolated, field).verdict
         # only the link of the isolated vertex, the circle Ind(C5), is ranked;
         # the links of its edges are pairs of points, of dimension 0
         assert calls == [_faces_by_dim(ind_c5.facets, face_budget=64)], field
@@ -378,8 +393,140 @@ def test_cm_walk_computes_no_homology_of_cones_or_low_dimensional_links(monkeypa
     calls.clear()
     for low in (cx(3, (1,), (2,), (3,)), cx(2, ()), cx(1, (1,))):
         for field in (GF2, gfp(3), RATIONAL):
-            assert is_cohen_macaulay(low, field).verdict
+            assert _cm_by_faces(low, field).verdict
     assert calls == []
+
+
+def _two_cycles_graph(first: int):
+    """C_first and C5 side by side on the 9 or 10 vertices of one grid, none isolated."""
+    if first == 5:  # C5 on index 1 and on index 2 of levels 1-5
+        edges = C5_EDGES | {((a, 2), (b, 2)) for (a, _), (b, _) in C5_EDGES}
+        return MultipartiteGraph(5, 2, frozenset(edges))
+    c5 = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1)]  # consecutive levels differ
+    c4 = [(1, 3), (3, 2), (2, 3), (3, 3)]
+    edges = [(c[k], c[(k + 1) % len(c)]) for c in (c5, c4) for k in range(len(c))]
+    return MultipartiteGraph.from_edges(3, 3, edges)
+
+
+def test_graph_walk_ranks_only_fold_free_components(monkeypatch):
+    calls = _count_homology_calls(monkeypatch)
+    ind_c5 = independence_complex(cycle_graph(5))
+    for field in (GF2, gfp(3), RATIONAL):
+        # the isolated vertex is a component of its own; C5 has no fold, so
+        # Ind(C5) is ranked once, from its faces
+        calls.clear()
+        assert is_cohen_macaulay(independence_complex(MultipartiteGraph(6, 1, C5_EDGES)), field)
+        assert calls == [_faces_by_dim(ind_c5.facets, face_budget=64)], field
+        # a join of two circles: each factor is ranked once, the join never
+        calls.clear()
+        assert is_cohen_macaulay(independence_complex(_two_cycles_graph(5)), field)
+        assert len(calls) == 2, field
+        # the staircase constructions and identity grids fold down to cones
+        # in every link, so no homology is ranked at all
+        calls.clear()
+        for n, r in ((2, 3), (3, 4), (4, 4), (3, 5)):
+            assert is_cohen_macaulay(independence_complex(build_complete_multipartite(n, r)), field)
+        for n in (3, 4):
+            identity = graph_of_family(RelationFamily.from_pairs(n, n, {}))
+            assert is_cohen_macaulay(independence_complex(identity), field)
+        assert calls == [], field
+    # a complete graph, whose links are all {∅}, has dimension 0
+    calls.clear()
+    assert is_cohen_macaulay(cx(3, (1,), (2,), (3,)))
+    assert calls == []
+
+
+def test_joins_of_circles():
+    # Ind(C5 ⊔ C5) is S1 * S1, a 3-sphere: CM.  Ind(C4 ⊔ C5) is S0 * S1, a
+    # 2-sphere inside a complex of dimension 3: not CM, at the empty face
+    both5 = independence_complex(_two_cycles_graph(5))
+    c4_c5 = independence_complex(_two_cycles_graph(4))
+    assert len(both5.facets) == 25 and len(c4_c5.facets) == 10
+    for field in (GF2, gfp(3), RATIONAL):
+        assert reduced_homology(both5, field).nonzero() == ((3, 1),)
+        assert is_cohen_macaulay(both5, field).verdict
+        assert reduced_homology(c4_c5, field).nonzero() == ((2, 1),)
+        cert = is_cohen_macaulay(c4_c5, field)
+        assert (cert.verdict, cert.witness) == (False, ((), 2, 1))
+        assert _cm_by_faces(both5, field).verdict
+
+
+def test_join_ranks_follow_kunneth():
+    circle = {1: 1}
+    assert _join_ranks(circle, circle) == {3: 1}  # S1 * S1 = S3
+    assert _join_ranks({0: 1}, circle) == {2: 1}  # S0 * S1 = S2
+    assert _join_ranks({-1: 1}, {0: 2, 1: 1}) == {0: 2, 1: 1}  # {∅} is the unit
+    assert _join_ranks({}, circle) == {}  # a cone is acyclic
+    assert _join_ranks({0: 2}, {0: 3, 1: 1}) == {1: 6, 2: 2}
+
+
+def _graph_masks(nv, edges):
+    nbr = [0] * nv
+    for u, v in edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    return nbr
+
+
+def _ind_homology(nbr, w, field):
+    """Nonzero reduced ranks of Ind(G[w]), from its faces."""
+    closed = [m | 1 << v for v, m in enumerate(nbr)]
+    facets = _maximal_independent_subsets(closed, w)
+    return {d: h for d, h in _homology_of_faces(_faces_by_dim(facets, 1 << 16), field).ranks if h}
+
+
+def test_fold_removes_the_vertex_with_the_larger_neighbourhood():
+    # the path 0-1-2-3: N(0) = {1} lies in N(2) = {1, 3}, so 2 goes and 3 is
+    # left isolated; removing 0 instead would leave the path 1-2-3, whose
+    # complex is two points rather than contractible
+    path = _graph_masks(4, [(0, 1), (1, 2), (2, 3)])
+    assert _fold(path, 0b1111) == 0b1011
+    rng = random.Random(11)
+    for _ in range(150):
+        nv = rng.randint(1, 9)
+        edges = [(u, v) for u in range(nv) for v in range(u + 1, nv) if rng.random() < 0.35]
+        nbr = _graph_masks(nv, edges)
+        full = (1 << nv) - 1
+        folded = _fold(nbr, full)
+        for u in _bits_of(folded):
+            for v in _bits_of(folded):
+                near = nbr[u] & folded
+                assert u == v or not near or near & ~nbr[v], (edges, u, v)
+        for field in (GF2, gfp(3), RATIONAL):
+            assert _ind_homology(nbr, folded, field) == _ind_homology(nbr, full, field), edges
+
+
+def _bits_of(mask):
+    return [k for k in range(mask.bit_length()) if mask >> k & 1]
+
+
+def test_graph_walk_on_a_600_vertex_path_needs_no_recursion():
+    # a path is CM only on 1, 2 or 4 vertices; the walk reaches links about
+    # 300 deep, which would pass the interpreter's recursion limit as calls
+    n = 600
+    path = _graph_masks(n, [(v, v + 1) for v in range(n - 1)])
+    assert _cm_by_graph(path, GF2, DEFAULT_FACE_BUDGET) is False
+    assert _cm_by_graph(_graph_masks(4, [(0, 1), (1, 2), (2, 3)]), GF2, 64) is True
+    with pytest.raises(SizeBudgetError, match="link states exceed the budget of 100"):
+        _cm_by_graph(path, GF2, 100)
+
+
+def test_non_flag_complexes_go_to_the_face_walk(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the graph walk ran on a complex that is not flag")
+
+    monkeypatch.setattr("cmgraphs.homology._cm_by_graph", refuse)
+    for complex_ in (PROJECTIVE_PLANE, TETRA_BOUNDARY, HOLLOW_TRIANGLE, cx(3, ()), cx(3, (1, 2))):
+        assert _flag_graph(complex_) is None
+        for field in (GF2, gfp(3), RATIONAL):
+            cert = is_cohen_macaulay(complex_, field)
+            assert (cert.verdict, cert.witness) == _reference_cm(complex_, field)
+
+
+def test_graph_walk_and_face_walk_disagreeing_raises(monkeypatch):
+    monkeypatch.setattr("cmgraphs.homology._cm_by_graph", lambda *args: False)
+    with pytest.raises(InternalMismatchError, match="face walk finds CM"):
+        is_cohen_macaulay(independence_complex(cycle_graph(5)))
 
 
 def test_faces_by_dim_matches_all_subsets_reference():

@@ -60,6 +60,18 @@ def test_close_relation_rejects_out_of_range():
         close_relation(0, [])
 
 
+def test_booleans_are_not_integers():
+    # bool is a subclass of int, so True would pass as the index or count 1
+    with pytest.raises(RangeError):
+        close_relation(True, [])
+    with pytest.raises(RangeError):
+        close_relation(3, [(True, 2)])
+    with pytest.raises(RangeError):
+        RelationFamily.from_pairs(2, True, {})
+    with pytest.raises(LevelError):
+        RelationFamily.from_pairs(2, 3, {True: [(1, 2)]})
+
+
 def test_close_relation_rejects_decreasing_pair():
     # index-monotone labeling: a relation pair (i, j) must have i <= j
     with pytest.raises(IndexOrderError):

@@ -2,16 +2,17 @@
 orders extend componentwise inclusion, and the facets of the family graph's
 independence complex are the complements of the chain-monomial supports.
 Generated-ideal and generated-complex properties: the double dual is the
-identity, the CM verdict does not depend on vertex order, and the
+identity, the CM verdict does not depend on vertex order, the
 Bron-Kerbosch facets of quadratic ideals and r-partite graphs are the
-complements of Berge's minimal transversals."""
+complements of Berge's minimal transversals, and the graph walk and the
+face walk give r-partite graphs one CM verdict and witness."""
 
 import random
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from cmgraphs import (  # noqa: E402
@@ -30,6 +31,7 @@ from cmgraphs import (  # noqa: E402
     dual_ideal_bruteforce,
     edge_ideal,
     enumerate_chains,
+    gfp,
     graph_of_family,
     grid_vertices,
     independence_complex,
@@ -39,6 +41,13 @@ from cmgraphs import (  # noqa: E402
     random_linear_extension,
 )
 from cmgraphs.duality import _minimal_transversals  # noqa: E402
+from cmgraphs.graphs import cycle_graph  # noqa: E402
+from cmgraphs.homology import (  # noqa: E402
+    DEFAULT_FACE_BUDGET,
+    _cm_by_faces,
+    _cm_by_graph,
+    _flag_graph,
+)
 
 
 @st.composite
@@ -159,10 +168,10 @@ def test_quadratic_ideal_facets_match_minimal_transversals(ideal):
 
 
 @st.composite
-def multipartite_graphs(draw):
+def multipartite_graphs(draw, max_r=5, max_n=4):
     """Arbitrary r-partite graphs on the r x n grid, not only family graphs."""
-    r = draw(st.integers(2, 5))
-    n = draw(st.integers(1, 4))
+    r = draw(st.integers(2, max_r))
+    n = draw(st.integers(1, max_n))
     pairs = [
         ((a, i), (b, j))
         for a in range(1, r + 1)
@@ -179,3 +188,19 @@ def multipartite_graphs(draw):
 def test_independence_complex_matches_minimal_transversals(graph):
     cx = independence_complex(graph)
     assert set(cx.facets) == _berge_facets(edge_ideal(graph).masks(), graph.r * graph.n)
+
+
+# the face walk lists every face, so the grids stay at 12 vertices
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(multipartite_graphs(max_r=4, max_n=3))
+@example(cycle_graph(4))
+@example(cycle_graph(5))
+def test_graph_walk_matches_the_face_walk(graph):
+    cx = independence_complex(graph)
+    nbr = _flag_graph(cx)
+    assert nbr is not None  # Ind(G) is flag and covers every vertex
+    for field in (GF2, gfp(3), RATIONAL):
+        by_faces = _cm_by_faces(cx, field)
+        assert _cm_by_graph(nbr, field, DEFAULT_FACE_BUDGET) == by_faces.verdict
+        cert = is_cohen_macaulay(cx, field)
+        assert (cert.verdict, cert.witness) == (by_faces.verdict, by_faces.witness)
