@@ -15,6 +15,11 @@ inclusion of two chains is the single test P_j & ~P_k == 0.  The canonical
 order (total cardinality, then the mask tuple) is a linear extension of
 inclusion without any pairwise comparison, because total cardinality
 strictly increases along strict inclusion.
+
+The layer works on ints throughout.  chain_monomial validates a caller's
+chain in full (byte-table order-ideal tests, then nesting); build_hr packs
+its own enumerated chains, valid by construction, and checks only that no
+two monomials collide.  Random extensions walk the chains' cover relation.
 """
 
 from __future__ import annotations
@@ -30,9 +35,10 @@ from .errors import (
     InternalMismatchError,
     RangeError,
 )
-from .monomials import Monomial, MonomialIdeal, sort_gens
+from .monomials import Monomial, MonomialIdeal
 from .posets import (
     RelationFamily,
+    _union_of_rows,
     composite_rows,
     ideal_closure,
     order_ideals,
@@ -41,34 +47,21 @@ from .posets import (
 
 
 def _chain_sort_key(chain):
-    return (sum(m.bit_count() for m in chain), chain)
+    return (sum(map(int.bit_count, chain)), chain)
 
 
 def enumerate_chains(family: RelationFamily) -> list[tuple[int, ...]]:
     """All nested ideal chains of the family, canonically ordered.
 
-    Built depth-first from the top level downward: choose I_{r-1}, then each
-    I_a among the ideals of level a containing I_{a+1}.  Sorted by total
+    Grown level by level from the top downward: the chains (I_{r-1}), then
+    each extended by every ideal I_a of level a containing its I_{a+1}, so
+    the J(P_1) x ... x J(P_{r-1}) product is never built.  Sorted by total
     cardinality, then by the bitmask tuple.
     """
-    per_level = [order_ideals(family.level(a)) for a in range(1, family.r)]
-    chains: list[tuple[int, ...]] = []
-    top = family.r - 2  # per_level index of I_{r-1}
-
-    # acc grows from I_{r-1} outward; each new component must contain the
-    # previous one, so the J(P_1) x ... x J(P_{r-1}) product is never built
-    def extend(depth: int, acc: list[int]) -> None:
-        if depth > top:
-            chains.append(tuple(reversed(acc)))
-            return
-        inner = acc[-1] if acc else 0
-        for mask in per_level[top - depth]:
-            if inner & ~mask == 0:
-                acc.append(mask)
-                extend(depth + 1, acc)
-                acc.pop()
-
-    extend(0, [])
+    per_level = [order_ideals(rel) for rel in family.levels]
+    chains = [(mask,) for mask in per_level[-1]]
+    for ideals in reversed(per_level[:-1]):
+        chains = [(mask,) + chain for chain in chains for mask in ideals if chain[0] & ~mask == 0]
     chains.sort(key=_chain_sort_key)
     return chains
 
@@ -76,8 +69,8 @@ def enumerate_chains(family: RelationFamily) -> list[tuple[int, ...]]:
 def _pack(chain, width: int) -> int:
     """The chain as one int, component a (0-based) at bits a*width."""
     packed = 0
-    for a, ideal in enumerate(chain):
-        packed |= ideal << (a * width)
+    for ideal in reversed(chain):
+        packed = packed << width | ideal
     return packed
 
 
@@ -90,12 +83,12 @@ def chain_monomial(family: RelationFamily, chain) -> Monomial:
     chain = validate_chain(family, chain)
     n, r = family.n, family.r
     packed = _pack(chain, n)
-    mono = Monomial(r, n, packed | ((~packed & ((1 << (r - 1) * n) - 1)) << n))
-    if mono.degree() != n * (r - 1):
+    mask = packed | (~packed & ((1 << (r - 1) * n) - 1)) << n
+    if mask.bit_count() != n * (r - 1):
         raise ChainError(
-            f"chain monomial degree {mono.degree()} != n(r-1) = {n * (r - 1)}"
+            f"chain monomial degree {mask.bit_count()} != n(r-1) = {n * (r - 1)}"
         )
-    return mono
+    return Monomial(r, n, mask)
 
 
 def build_hr(family: RelationFamily) -> MonomialIdeal:
@@ -103,14 +96,18 @@ def build_hr(family: RelationFamily) -> MonomialIdeal:
 
     All generators share degree n(r-1), so distinct monomials are
     automatically minimal; the chain -> monomial map is checked injective.
+    The enumerated chains are valid by construction, so their monomials are
+    packed here directly, without chain_monomial's validation.
     """
-    chains = enumerate_chains(family)
-    gens = [chain_monomial(family, c) for c in chains]
-    if len({g.mask for g in gens}) != len(chains):
+    n, r = family.n, family.r
+    low = (1 << (r - 1) * n) - 1
+    packed = [_pack(c, n) for c in enumerate_chains(family)]
+    masks = [p | (~p & low) << n for p in packed]
+    if len(set(masks)) != len(packed):
         raise InternalMismatchError(
             "chain -> monomial map failed to be injective; generators collide"
         )
-    return MonomialIdeal(family.r, family.n, sort_gens(gens))
+    return MonomialIdeal.from_masks(r, n, masks)
 
 
 def chain_compare(chain_j, chain_i) -> str:
@@ -145,46 +142,53 @@ def linear_extension(chains) -> ChainOrder:
     distinct and no chain lies below an earlier one.  A chain given twice
     raises ChainError.
     """
-    ordered = tuple(sorted(chains, key=_chain_sort_key))
-    keys = [_chain_sort_key(c) for c in ordered]
+    keys = sorted(map(_chain_sort_key, chains))
     for x, y in zip(keys, keys[1:]):
         if x >= y:
             raise ChainError(f"chain {y[1]} is given more than once")
-    return ChainOrder(ordered)
+    return ChainOrder(tuple(chain for _, chain in keys))
 
 
 @functools.lru_cache(maxsize=1)
-def _predecessors(chains: tuple) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+def _predecessors(chains: tuple) -> tuple[tuple[int, ...], tuple[int, ...], tuple]:
     """For each position k, the bitmask of positions j with chains[j] < chains[k],
-    and the positions each chain lies strictly below.
+    the bitmask of its lower covers, and the positions each chain covers.
 
-    Cached for the last chain tuple, so repeated random extensions of one
-    chain set build the O(m^2) masks once.
+    The lower covers of k are below[k] minus everything below a member of
+    below[k].  Cached for the last chain tuple, so repeated random
+    extensions of one chain set build the O(m^2) masks once.
     """
     width = max((ideal.bit_length() for c in chains for ideal in c), default=0)
     packed = [_pack(c, width) for c in chains]
     below = [0] * len(chains)
-    succs: list[list[int]] = [[] for _ in chains]
     for k, pk in enumerate(packed):
         for j, pj in enumerate(packed):
             if pj & ~pk == 0 and pj != pk:
                 below[k] |= 1 << j
-                succs[j].append(k)
-    return tuple(below), tuple(map(tuple, succs))
+    covers = [b & ~_union_of_rows(below, b) for b in below]
+    ups: list[list[int]] = [[] for _ in chains]
+    for k, cover in enumerate(covers):
+        while cover:
+            low = cover & -cover
+            cover ^= low
+            ups[low.bit_length() - 1].append(k)
+    return tuple(below), tuple(covers), tuple(map(tuple, ups))
 
 
 def random_linear_extension(chains, rng: random.Random) -> ChainOrder:
     """A seeded random linear extension (random topological sort, not uniform).
 
-    Incremental Kahn: track how many strict predecessors of each chain are
-    unplaced and keep a pool of ready chains, picking randomly.  The
-    predecessors come from the chains packed into one int each, one &~ test
-    per pair.
+    Incremental Kahn on the cover relation: track how many lower covers of
+    each chain are unplaced and keep a pool of ready chains, picking
+    randomly.  A chain is ready once its last strict predecessor is placed,
+    and that one is always a cover, so walking covers gives the same orders
+    as walking every successor.  The predecessors come from the chains
+    packed into one int each, one &~ test per pair.
     """
     chains = tuple(map(tuple, chains))
     m = len(chains)
-    below, succs = _predecessors(chains)
-    counts = [b.bit_count() for b in below]
+    below, covers, ups = _predecessors(chains)
+    counts = [c.bit_count() for c in covers]
     ready = [k for k in range(m) if counts[k] == 0]
     order: list[int] = []
     placed = 0
@@ -198,7 +202,7 @@ def random_linear_extension(chains, rng: random.Random) -> ChainOrder:
             )
         placed |= 1 << pick
         order.append(pick)
-        for k in succs[pick]:
+        for k in ups[pick]:
             counts[k] -= 1
             if counts[k] == 0:
                 ready.append(k)

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import RangeError, SizeBudgetError, UnitIdealError
-from .monomials import Monomial, MonomialIdeal, minimalize, sort_gens
+from .monomials import Monomial, MonomialIdeal, minimalize, slot
 from .posets import RelationFamily, reach_pairs
 
 # ---------------------------------------------------------------------------
@@ -241,24 +241,9 @@ class SimplicialComplex:
                 if above:
                     raise RangeError("facets must form an inclusion antichain")
 
-    @classmethod
-    def make(cls, vertices, face_masks) -> SimplicialComplex:
-        """Normalize: dedupe, drop non-maximal faces, sort canonically."""
-        masks = sorted(set(face_masks), key=lambda m: -m.bit_count())
-        kept: list[int] = []
-        for m in masks:
-            if not any(m & ~k == 0 for k in kept):
-                kept.append(m)
-        kept.sort(key=lambda m: (m.bit_count(), m))
-        return cls(tuple(vertices), tuple(kept))
-
     def is_void(self) -> bool:
         """No faces at all, not even the empty face."""
         return not self.facets
-
-    def is_irrelevant(self) -> bool:
-        """The complex {∅}: the empty face is the only face."""
-        return self.facets == (0,)
 
     def dim(self) -> int:
         if self.is_void():
@@ -359,8 +344,5 @@ def dual_hr_fast(family: RelationFamily) -> MonomialIdeal:
     they are pairwise distinct, so the list is minimal as built.
     """
     n, r = family.n, family.r
-    gens = [
-        Monomial.from_variables(r, n, [(s, i), (t, j)])
-        for s, t, i, j in reach_pairs(family)
-    ]
-    return MonomialIdeal(r, n, sort_gens(gens))
+    masks = [1 << slot(s, i, n) | 1 << slot(t, j, n) for s, t, i, j in reach_pairs(family)]
+    return MonomialIdeal.from_masks(r, n, masks)

@@ -21,7 +21,7 @@ from .errors import (
     PartsError,
     RangeError,
 )
-from .monomials import Monomial, MonomialIdeal, sort_gens
+from .monomials import MonomialIdeal, slot
 from .posets import (
     RelationFamily,
     _union_of_rows,
@@ -148,10 +148,9 @@ def graph_of_family(family: RelationFamily) -> MultipartiteGraph:
 
 
 def edge_ideal(graph: MultipartiteGraph) -> MonomialIdeal:
-    gens = [
-        Monomial.from_variables(graph.r, graph.n, e) for e in graph.edges
-    ]
-    return MonomialIdeal(graph.r, graph.n, sort_gens(gens))
+    n = graph.n
+    masks = [1 << slot(a, i, n) | 1 << slot(b, j, n) for (a, i), (b, j) in graph.edges]
+    return MonomialIdeal.from_masks(graph.r, n, masks)
 
 
 def independence_complex(graph: MultipartiteGraph) -> SimplicialComplex:

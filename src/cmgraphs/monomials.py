@@ -65,10 +65,6 @@ class Monomial:
         self._check_ring(other)
         return Monomial(self.r, self.n, self.mask & ~other.mask)
 
-    def lcm(self, other: Monomial) -> Monomial:
-        self._check_ring(other)
-        return Monomial(self.r, self.n, self.mask | other.mask)
-
     def _check_ring(self, other: Monomial) -> None:
         if (self.r, self.n) != (other.r, other.n):
             raise RangeError(
@@ -137,9 +133,6 @@ class MonomialIdeal:
     def masks(self) -> tuple[int, ...]:
         return tuple(g.mask for g in self.gens)
 
-    def contains_monomial(self, mono: Monomial) -> bool:
-        return any(g.divides(mono) for g in self.gens)
-
     def is_zero(self) -> bool:
         return not self.gens
 
@@ -153,8 +146,17 @@ class MonomialIdeal:
 
 
 def sort_gens(gens) -> tuple[Monomial, ...]:
-    # canonical order: degree, then lexicographic on the sorted variable tuple
-    return tuple(sorted(gens, key=lambda g: (g.degree(), g.variables())))
+    # canonical order: degree, then lexicographic on the sorted variable tuple.
+    # Two supports of one degree first differ at the lowest slot of their
+    # symmetric difference, and the one holding it comes first; with the ring's
+    # slots reversed that is the highest differing bit.  One ring per call.
+    gens = list(gens)
+    if not gens:
+        return ()
+    width = gens[0].r * gens[0].n
+    return tuple(
+        sorted(gens, key=lambda g: (g.mask.bit_count(), -int(f"{g.mask:0{width}b}"[::-1], 2)))
+    )
 
 
 def minimalize(ms, r: int | None = None, n: int | None = None) -> MonomialIdeal:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, islice
+from itertools import islice
 
 from .errors import (
     ChainError,
@@ -58,6 +58,8 @@ class Relation:
     Instances produced by :func:`close_relation` are genuine index-monotone
     partial orders.  :meth:`from_raw_pairs` builds unclosed relations so the
     hypothesis checkers can be exercised on inputs that fail transitivity.
+    The down-sets (columns) and their per-byte unions are derived once per
+    instance, for the order-ideal test.
     """
 
     n: int
@@ -93,6 +95,23 @@ class Relation:
                     down[j] |= 1 << i
         return tuple(down)
 
+    @cached_property
+    def down_bytes(self) -> tuple[tuple[int, ...], ...]:
+        """Per 8-element byte k, the down-set union of every value of that byte.
+
+        down_bytes[k][b] is the OR of down_masks[8k + j] over the set bits j
+        of b, so the down-set of a subset is one lookup per byte of its
+        mask.  The last byte's table covers only the elements it holds.
+        Cached like down_masks.
+        """
+        tables = []
+        for start in range(0, self.n, 8):
+            table = [0]
+            for down in self.down_masks[start : start + 8]:
+                table += [t | down for t in table]
+            tables.append(tuple(table))
+        return tuple(tables)
+
     def is_reflexive(self) -> bool:
         return all(self.rows[i] >> i & 1 for i in range(self.n))
 
@@ -122,13 +141,6 @@ class Relation:
                 if self.holds(i, j):
                     return (i, j)
         return None
-
-    def is_poset(self) -> bool:
-        return (
-            self.is_reflexive()
-            and self.antisymmetry_witness() is None
-            and self.transitivity_witness() is None
-        )
 
     @classmethod
     def from_raw_pairs(cls, n: int, pairs) -> Relation:
@@ -209,8 +221,16 @@ def _union_of_rows(rows, mask: int) -> int:
 
 
 def is_order_ideal(rel: Relation, mask: int) -> bool:
-    """Whether the bitmask is downward closed in the relation."""
-    return _union_of_rows(rel.down_masks, mask) & ~mask == 0
+    """Whether the bitmask (a subset of the ground set) is downward closed.
+
+    The down-set of the mask is read from the relation's byte tables, one
+    lookup per 8 elements (see Relation.down_bytes).
+    """
+    below, rest = 0, mask
+    for table in rel.down_bytes:
+        below |= table[rest & 255]
+        rest >>= 8
+    return below & ~mask == 0
 
 
 def order_ideals(rel: Relation) -> list[int]:
@@ -218,8 +238,7 @@ def order_ideals(rel: Relation) -> list[int]:
 
     Always includes the empty set and the full ground set.
     """
-    down = rel.down_masks
-    out = [m for m in range(1 << rel.n) if _union_of_rows(down, m) & ~m == 0]
+    out = [m for m in range(1 << rel.n) if is_order_ideal(rel, m)]
     out.sort(key=lambda s: (s.bit_count(), s))
     return out
 
@@ -335,17 +354,17 @@ def validate_chain(family: RelationFamily, chain) -> tuple[int, ...]:
             f"chain has {len(chain)} components, expected {family.r - 1}"
         )
     full = (1 << family.n) - 1
-    for a, mask in enumerate(chain, start=1):
-        if type(mask) is not int or mask < 0 or mask > full:
+    for a, (mask, rel) in enumerate(zip(chain, family.levels), start=1):
+        if type(mask) is not int or not 0 <= mask <= full:
             raise ChainError(f"component {a} is not a subset bitmask of [n]")
-        if not is_order_ideal(family.level(a), mask):
+        if not is_order_ideal(rel, mask):
             raise ChainError(
                 f"component {a} = {format_ideal(mask)} is not an order ideal of level {a}"
             )
-    for a in range(len(chain) - 1):
-        if chain[a + 1] & ~chain[a]:
+    for a, (outer, inner) in enumerate(zip(chain, chain[1:]), start=2):
+        if inner & ~outer:
             raise ChainError(
-                f"chain not nested: component {a + 2} is not contained in component {a + 1}"
+                f"chain not nested: component {a} is not contained in component {a - 1}"
             )
     return chain
 
@@ -416,11 +435,3 @@ def read_json(path):
 
 def load_family(path) -> RelationFamily:
     return family_from_dict(read_json(path))
-
-
-def ideals_lattice_closed(ideals) -> bool:
-    """Whether a collection of ideal bitmasks is closed under union and intersection."""
-    pool = set(ideals)
-    return all(
-        (x | y) in pool and (x & y) in pool for x, y in combinations(pool, 2)
-    )

@@ -9,10 +9,13 @@ format so a -s run reads as the acceptance table.
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from cmgraphs.verification import DEFAULT_SEED, run_all
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -90,3 +93,5 @@ def test_verify_paper_reports_are_seed_deterministic():
     second = run_verify_paper("--seed", "42")
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+    # the committed report: a change to any verdict or count shows here
+    assert first.stdout == (DATA / "verify_paper_seed42.txt").read_text()

@@ -12,6 +12,7 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
+from conftest import make_complex
 from cmgraphs import (
     GF2,
     RATIONAL,
@@ -19,7 +20,6 @@ from cmgraphs import (
     NotFaceError,
     ParseError,
     RangeError,
-    SimplicialComplex,
     SizeBudgetError,
     complex_of_ideal,
     gfp,
@@ -60,7 +60,7 @@ from cmgraphs.verification import random_squarefree_ideal
 def cx(n_vertices, *faces):
     verts = tuple(range(1, n_vertices + 1))
     masks = [sum(1 << (v - 1) for v in f) for f in faces]
-    return SimplicialComplex.make(verts, masks)
+    return make_complex(verts, masks)
 
 
 HOLLOW_TRIANGLE = cx(3, (1, 2), (1, 3), (2, 3))
@@ -113,7 +113,7 @@ def test_homology_of_irrelevant_complex():
 
 
 def test_homology_of_void_complex_is_undefined():
-    void = SimplicialComplex.make((1, 2), [])
+    void = make_complex((1, 2), [])
     with pytest.raises(ValueError):
         reduced_homology(void)
 
@@ -304,11 +304,11 @@ def test_wide_lane_prime_rank():
 def test_face_budget_is_enforced():
     with pytest.raises(SizeBudgetError):
         reduced_homology(TETRA_BOUNDARY, GF2, face_budget=4)
-    wide = SimplicialComplex.make(tuple(range(25)), [(1 << 25) - 1])
+    wide = make_complex(tuple(range(25)), [(1 << 25) - 1])
     with pytest.raises(SizeBudgetError):
         reduced_homology(wide)
     # one facet on 22 vertices has 2^22 faces, more than the default face budget
-    simplex22 = SimplicialComplex.make(tuple(range(22)), [(1 << 22) - 1])
+    simplex22 = make_complex(tuple(range(22)), [(1 << 22) - 1])
     with pytest.raises(SizeBudgetError, match="faces exceed the budget"):
         reduced_homology(simplex22)
 
@@ -558,7 +558,7 @@ def test_thirty_vertex_cycles_need_no_vertex_limit():
                 1 << (start + k) | 1 << (start + (k + 1) % length) for k in range(length)
             ]
             start += length
-        return SimplicialComplex.make(tuple(range(start)), edges)
+        return make_complex(tuple(range(start)), edges)
 
     circle = cycles(30)
     assert reduced_homology(circle).nonzero() == ((1, 1),)
@@ -660,7 +660,7 @@ def _random_complexes(count, seed):
         if rng.random() < 0.3:  # a pure complex, so CM verdicts come up too
             size = rng.randint(1, nv)
             facets = [f for f in facets if f.bit_count() == size] or facets
-        out.append(SimplicialComplex.make(labels, facets))
+        out.append(make_complex(labels, facets))
     return out
 
 

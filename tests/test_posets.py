@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import ideals_lattice_closed, is_poset
 from cmgraphs import (
     ChainError,
     IndexOrderError,
@@ -23,7 +24,6 @@ from cmgraphs.posets import (
     Relation,
     family_from_dict,
     family_to_dict,
-    ideals_lattice_closed,
     mask_of,
     members,
     validate_chain,
@@ -48,7 +48,7 @@ def test_close_relation_is_reflexive_and_transitive():
     assert rel.holds(1, 3)
     assert rel.holds(1, 1)
     assert not rel.holds(1, 4)
-    assert rel.is_poset()
+    assert is_poset(rel)
 
 
 def test_close_relation_rejects_out_of_range():
@@ -123,7 +123,7 @@ def test_ideals_closed_under_union_and_intersection():
 
 def test_raw_relation_checkers_report_violations():
     raw = Relation.from_raw_pairs(3, [(1, 2), (2, 3)])
-    assert not raw.is_poset()
+    assert not is_poset(raw)
     assert raw.transitivity_witness() == (1, 2, 3)
     bad = Relation.from_raw_pairs(3, [(3, 1)])
     assert bad.monotonicity_witness() == (3, 1)
@@ -215,12 +215,37 @@ def test_validate_chain_accepts_nested_ideals(sample):
 
 
 def test_validate_chain_rejects_bad_input(sample):
-    with pytest.raises(ChainError):
-        validate_chain(sample, (0b111,))  # needs r-1 = 2 levels
-    with pytest.raises(ChainError):
-        validate_chain(sample, (0b100, 0))  # {p3} misses p2 below it
-    with pytest.raises(ChainError):
-        validate_chain(sample, (0b001, 0b011))  # not nested
+    # one case per ChainError text; the first failing component is named
+    cases = [
+        ((0b111,), "chain has 1 components, expected 2"),  # needs r-1 = 2 levels
+        ((0b111, 0b1000), "component 2 is not a subset bitmask of [n]"),
+        ((-1, 0), "component 1 is not a subset bitmask of [n]"),
+        ((0b111, True), "component 2 is not a subset bitmask of [n]"),
+        ((0b100, 0), "component 1 = {p3} is not an order ideal of level 1"),
+        ((0b111, 0b010), "component 2 = {p2} is not an order ideal of level 2"),
+        ((0b001, 0b011), "chain not nested: component 2 is not contained in component 1"),
+    ]
+    for chain, message in cases:
+        with pytest.raises(ChainError) as excinfo:
+            validate_chain(sample, chain)
+        assert excinfo.value.message == message
+    with pytest.raises(ChainError) as excinfo:
+        validate_chain(RelationFamily.from_pairs(2, 4, {}), (0b11, 0b01, 0b10))
+    assert excinfo.value.message == (
+        "chain not nested: component 3 is not contained in component 2"
+    )
+
+
+def test_order_ideal_byte_tables_span_every_element():
+    # the chain p_1 <= ... <= p_20: three byte tables, the last of four
+    # elements, and its order ideals are exactly the prefixes
+    rel = close_relation(20, [(k, k + 1) for k in range(1, 20)])
+    assert [len(t) for t in rel.down_bytes] == [256, 256, 16]
+    for k in range(21):
+        assert is_order_ideal(rel, (1 << k) - 1)
+    for k in range(2, 21):
+        assert not is_order_ideal(rel, 1 << (k - 1))  # {p_k} misses p_{k-1}
+        assert not is_order_ideal(rel, (1 << k) - 2)  # the prefix misses p_1
 
 
 def test_family_dict_roundtrip(sample):

@@ -1,6 +1,8 @@
 """Generated-family properties: the three dual routes agree, both chain
 orders extend componentwise inclusion, and the facets of the family graph's
 independence complex are the complements of the chain-monomial supports.
+The mask-keyed generator sort, the byte-table order-ideal test and the
+cover-walk random extension agree with their plain definitions.
 Generated-ideal and generated-complex properties: the double dual is the
 identity, the CM verdict does not depend on vertex order, the
 Bron-Kerbosch facets of quadratic ideals and r-partite graphs are the
@@ -15,13 +17,13 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from conftest import make_complex  # noqa: E402
 from cmgraphs import (  # noqa: E402
     GF2,
     RATIONAL,
     Monomial,
     MultipartiteGraph,
     RelationFamily,
-    SimplicialComplex,
     alexander_dual_complex,
     build_hr,
     chain_compare,
@@ -41,6 +43,8 @@ from cmgraphs import (  # noqa: E402
     random_linear_extension,
 )
 from cmgraphs.duality import _minimal_transversals  # noqa: E402
+from cmgraphs.monomials import sort_gens  # noqa: E402
+from cmgraphs.posets import Relation, _union_of_rows, is_order_ideal  # noqa: E402
 from cmgraphs.graphs import cycle_graph  # noqa: E402
 from cmgraphs.homology import (  # noqa: E402
     DEFAULT_FACE_BUDGET,
@@ -102,7 +106,7 @@ def wide_complexes(draw):
     """Complexes on 30 vertices whose facets each miss one to four."""
     missing = draw(st.lists(st.sets(st.integers(0, 29), min_size=1, max_size=4), max_size=6))
     full = (1 << 30) - 1
-    return SimplicialComplex.make(range(30), [full ^ sum(1 << p for p in m) for m in missing])
+    return make_complex(range(30), [full ^ sum(1 << p for p in m) for m in missing])
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)
@@ -124,8 +128,8 @@ def relabelled_complexes(draw):
     for k in range(nv):
         moved_labels[perm[k]] = labels[k]
     return (
-        SimplicialComplex.make(labels, facets),
-        SimplicialComplex.make(tuple(moved_labels), moved),
+        make_complex(labels, facets),
+        make_complex(tuple(moved_labels), moved),
     )
 
 
@@ -204,3 +208,74 @@ def test_graph_walk_matches_the_face_walk(graph):
         assert _cm_by_graph(nbr, field, DEFAULT_FACE_BUDGET) == by_faces.verdict
         cert = is_cohen_macaulay(cx, field)
         assert (cert.verdict, cert.witness) == (by_faces.verdict, by_faces.witness)
+
+
+@st.composite
+def generator_lists(draw):
+    """Monomials of one ring, up to 4 x 6 = 24 slots, repeats allowed."""
+    r = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    masks = st.integers(0, (1 << r * n) - 1)
+    return [Monomial(r, n, m) for m in draw(st.lists(masks, max_size=12))]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(generator_lists())
+@example([])
+@example([Monomial(3, 5, 0b100000000000001), Monomial(3, 5, 0b000000000000011)])
+def test_sort_gens_is_the_degree_then_variables_order(gens):
+    assert sort_gens(gens) == tuple(sorted(gens, key=lambda g: (g.degree(), g.variables())))
+
+
+@st.composite
+def relations_with_masks(draw):
+    """Arbitrary reflexive relations on up to 20 elements, so masks span
+    three bytes, with a subset, its down-closure and that closure less one
+    element."""
+    n = draw(st.integers(1, 20))
+    index = st.integers(1, n)
+    rel = Relation.from_raw_pairs(n, draw(st.lists(st.tuples(index, index), max_size=3 * n)))
+    mask = draw(st.integers(0, (1 << n) - 1))
+    closed = mask | _union_of_rows(rel.down_masks, mask)
+    drop = draw(st.integers(0, n - 1))
+    return rel, (mask, closed, closed & ~(1 << drop))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(relations_with_masks())
+def test_is_order_ideal_matches_the_row_definition(case):
+    rel, masks = case
+    for m in masks:
+        assert is_order_ideal(rel, m) == (_union_of_rows(rel.down_masks, m) & ~m == 0)
+
+
+def kahn_on_successors(chains, rng):
+    """The random Kahn walk over every strict successor, not only covers."""
+    m = len(chains)
+    below = [
+        [j for j in range(m) if j != k and all(a & ~b == 0 for a, b in zip(chains[j], chains[k]))]
+        for k in range(m)
+    ]
+    succs = [[k for k in range(m) if j in below[k]] for j in range(m)]
+    counts = [len(b) for b in below]
+    ready = [k for k in range(m) if not counts[k]]
+    order = []
+    while ready:
+        pos = rng.randrange(len(ready))
+        ready[pos], ready[-1] = ready[-1], ready[pos]
+        pick = ready.pop()
+        order.append(pick)
+        for k in succs[pick]:
+            counts[k] -= 1
+            if not counts[k]:
+                ready.append(k)
+    return tuple(chains[k] for k in order)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(families(), st.integers(0, 2**32 - 1))
+def test_random_extension_walks_covers_to_the_successor_walk_order(fam, seed):
+    chains = enumerate_chains(fam)
+    random.Random(seed).shuffle(chains)
+    got = random_linear_extension(chains, random.Random(seed)).chains
+    assert got == kahn_on_successors(chains, random.Random(seed))
