@@ -38,6 +38,7 @@ from .errors import (
 from .monomials import Monomial, MonomialIdeal
 from .posets import (
     RelationFamily,
+    _transpose,
     _union_of_rows,
     composite_rows,
     ideal_closure,
@@ -154,17 +155,24 @@ def _predecessors(chains: tuple) -> tuple[tuple[int, ...], tuple[int, ...], tupl
     """For each position k, the bitmask of positions j with chains[j] < chains[k],
     the bitmask of its lower covers, and the positions each chain covers.
 
-    The lower covers of k are below[k] minus everything below a member of
-    below[k].  Cached for the last chain tuple, so repeated random
-    extensions of one chain set build the O(m^2) masks once.
+    With the chains packed into one int each and transposed into one column
+    per bit, the chains inside chains[k] are the positions outside the OR of
+    the columns of the bits chains[k] lacks; below[k] is those less the
+    chains equal to chains[k], so a repeated chain is incomparable with its
+    copy.  The lower covers of k are below[k] minus everything below a
+    member of below[k].  Cached for the last chain tuple, so repeated random
+    extensions of one chain set build the masks once.
     """
     width = max((ideal.bit_length() for c in chains for ideal in c), default=0)
     packed = [_pack(c, width) for c in chains]
-    below = [0] * len(chains)
+    everything = (1 << len(chains)) - 1
+    union, columns = _columns(packed)
+    equal: dict[int, int] = {}
     for k, pk in enumerate(packed):
-        for j, pj in enumerate(packed):
-            if pj & ~pk == 0 and pj != pk:
-                below[k] |= 1 << j
+        equal[pk] = equal.get(pk, 0) | 1 << k
+    below = [
+        everything & ~_union_of_rows(columns, union & ~pk) & ~equal[pk] for pk in packed
+    ]
     covers = [b & ~_union_of_rows(below, b) for b in below]
     ups: list[list[int]] = [[] for _ in chains]
     for k, cover in enumerate(covers):
@@ -182,8 +190,8 @@ def random_linear_extension(chains, rng: random.Random) -> ChainOrder:
     each chain are unplaced and keep a pool of ready chains, picking
     randomly.  A chain is ready once its last strict predecessor is placed,
     and that one is always a cover, so walking covers gives the same orders
-    as walking every successor.  The predecessors come from the chains
-    packed into one int each, one &~ test per pair.
+    as walking every successor.  The predecessors are read off the columns
+    of the packed chains (see _predecessors).
     """
     chains = tuple(map(tuple, chains))
     m = len(chains)
@@ -220,32 +228,16 @@ class LinearQuotientsVerdict:
         return self.passed
 
 
-# _DIGITS[k] maps a byte to the ASCII digit of its bit k
-_DIGITS = tuple(bytes(48 | b >> k & 1 for b in range(256)) for k in range(8))
-
-
-def _columns(masks: list[int]) -> tuple[int, dict[int, int]]:
+def _columns(masks: list[int]) -> tuple[int, list[int]]:
     """The union of the masks, and the masks transposed into variable columns.
 
-    The column of a variable v, keyed by 1 << v, has bit k set exactly when
-    masks[k] holds v; only variables of the union get one.  The masks are
-    packed big-endian, last first, so the strided byte slice holding bit v of
-    every mask, read as binary digits, is the column.
+    Column v has bit k set exactly when masks[k] holds v.
     """
-    union = 0
-    for m in masks:
-        union |= m
-    width = (union.bit_length() + 7) // 8
-    packed = b"".join([m.to_bytes(width, "big") for m in reversed(masks)])
-    columns = {}
-    for v in range(union.bit_length()):
-        if union >> v & 1:
-            digits = packed[width - 1 - v // 8 :: width].translate(_DIGITS[v % 8])
-            columns[1 << v] = int(digits, 2)
-    return union, columns
+    union = _union_of_rows(masks, (1 << len(masks)) - 1)
+    return union, _transpose(union.bit_length(), masks)
 
 
-def _blocked(columns: dict[int, int], earlier: int, outside: int) -> int:
+def _blocked(columns: list[int], earlier: int, outside: int) -> int:
     """The positions of `earlier` whose quotient meets no one-variable quotient.
 
     For a generator u, the quotient of an earlier u_k is the support of
@@ -260,7 +252,7 @@ def _blocked(columns: dict[int, int], earlier: int, outside: int) -> int:
     while outside:
         low = outside & -outside
         outside ^= low
-        col = columns[low] & earlier
+        col = columns[low.bit_length() - 1] & earlier
         twos |= ones & col
         ones |= col
         cols.append(col)

@@ -296,6 +296,17 @@ def cmd_verify_paper(args) -> int:
     return 0 if all(res.ok for res in results) else 1
 
 
+def _positive_int(text: str) -> int:
+    """An argument that must be an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cmgraphs",
@@ -368,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--budget-faces",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_FACE_BUDGET,
         help="maximum faces per homology computation",
     )

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .errors import RangeError, SizeBudgetError, UnitIdealError
 from .monomials import Monomial, MonomialIdeal, minimalize, slot
-from .posets import RelationFamily, reach_pairs
+from .posets import RelationFamily, _transpose, reach_pairs
 
 # ---------------------------------------------------------------------------
 # minimal transversals: the kernel behind alexander_dual_complex, and behind
@@ -167,31 +167,6 @@ def _maximal_independent_subsets(closed: list[int], cand: int) -> list[int]:
     return facets
 
 
-# one translation table per bit of a byte: a byte goes to ASCII "1" when that
-# bit is set and to "0" when it is clear
-_BIT_DIGITS = tuple(
-    bytes(b"01"[x >> bit & 1] for x in range(256)) for bit in range(8)
-)
-
-
-def _facet_columns(size: int, facets) -> list[int]:
-    """The facets transposed: bit k of column v is set when facet k contains vertex v.
-
-    The facets are packed side by side, a whole number of bytes each, and
-    column v is the byte at v's offset in every facet, each read as a "0"
-    or "1" digit of v's bit and the string parsed in base 2, so no Python
-    loop runs over the facets' vertices.
-    """
-    width = (size + 7) >> 3
-    packed = b"".join(f.to_bytes(width, "little") for f in facets)
-    if not packed:
-        return [0] * size
-    return [
-        int(packed[v >> 3 :: width].translate(_BIT_DIGITS[v & 7])[::-1], 2)
-        for v in range(size)
-    ]
-
-
 def vertex_label_str(label) -> str:
     if isinstance(label, tuple) and len(label) == 2:
         return f"X[{label[0]},{label[1]}]"
@@ -228,7 +203,7 @@ class SimplicialComplex:
         # are the AND of the columns of f's vertices.
         ordered = sorted(self.facets, key=int.bit_count, reverse=True)
         if ordered and ordered[-1].bit_count() < ordered[0].bit_count():
-            cols = _facet_columns(len(self.vertices), ordered)
+            cols = _transpose(len(self.vertices), ordered)
             start = 0
             for k, f in enumerate(ordered):
                 if f.bit_count() < ordered[start].bit_count():

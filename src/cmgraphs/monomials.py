@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import ParseError, RangeError
+from .errors import InputError, ParseError, RangeError
 
 _FACTOR_RE = re.compile(r"X\[\s*(\d+)\s*,\s*(\d+)\s*\]")
 
@@ -214,5 +214,5 @@ def read_ideal(path, r: int, n: int) -> MonomialIdeal:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
-        raise ParseError(f"cannot read ideal file {path}: {exc}") from None
+        raise InputError(f"cannot read ideal file {path}: {exc}") from None
     return parse_ideal_lines(text, r, n)

@@ -85,15 +85,10 @@ class Relation:
     def down_masks(self) -> tuple[int, ...]:
         """down[j] = bitmask of all i with p_{i+1} related-to p_{j+1} (0-based j).
 
-        Computed once per relation; the frozen instance keeps the result.
+        These are the columns of the rows, computed once per relation; the
+        frozen instance keeps the result.
         """
-        down = [0] * self.n
-        for i in range(self.n):
-            row = self.rows[i]
-            for j in range(self.n):
-                if row >> j & 1:
-                    down[j] |= 1 << i
-        return tuple(down)
+        return tuple(_transpose(self.n, self.rows))
 
     @cached_property
     def down_bytes(self) -> tuple[tuple[int, ...], ...]:
@@ -218,6 +213,28 @@ def _union_of_rows(rows, mask: int) -> int:
         mask ^= low
         out |= rows[low.bit_length() - 1]
     return out
+
+
+# _BIT_DIGITS[k] maps a byte to the ASCII digit of its bit k
+_BIT_DIGITS = tuple(bytes(b"01"[x >> k & 1] for x in range(256)) for k in range(8))
+
+
+def _transpose(size: int, rows) -> list[int]:
+    """The bit matrix transposed: bit k of column v is set when rows[k] holds v.
+
+    Every row lies below 1 << size.  The rows are packed big-endian, a whole
+    number of bytes each and the last row first, so the strided byte slice
+    holding bit v of every row, each byte read as the digit of v's bit, is
+    column v in base 2: no Python loop runs over the bits of the rows.
+    """
+    width = (size + 7) >> 3
+    packed = b"".join([row.to_bytes(width, "big") for row in reversed(rows)])
+    if not packed:
+        return [0] * size
+    return [
+        int(packed[width - 1 - (v >> 3) :: width].translate(_BIT_DIGITS[v & 7]), 2)
+        for v in range(size)
+    ]
 
 
 def is_order_ideal(rel: Relation, mask: int) -> bool:

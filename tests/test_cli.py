@@ -250,6 +250,18 @@ def test_cm_field_flag(capsys, graph_file):
     rc, _, err = run(capsys, "graph", "cm", c5, "--field", "gf9")
     assert rc == 2
     assert "E_PARSE" in err
+    # a face budget below 1 is refused while the arguments are parsed
+    for budget, reason in (
+        ("0", "must be at least 1, got 0"),
+        ("-5", "must be at least 1, got -5"),
+        ("x", "not an integer: 'x'"),
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["graph", "cm", c5, "--budget-faces", budget])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --budget-faces: {reason}" in err
+        assert "E_SIZE" not in err
 
 
 def test_identity_grid_of_25_vertices(capsys, write_json):

@@ -108,16 +108,6 @@ def test_antichain_check_matches_pairwise_reference():
     assert outcomes == {True, False}
 
 
-def test_facet_columns_transpose_the_facets():
-    rng = random.Random(7)
-    for size in (1, 8, 9, 70):
-        facets = [rng.getrandbits(size) for _ in range(rng.randint(0, 20))]
-        cols = duality._facet_columns(size, facets)
-        assert cols == [
-            sum(1 << k for k, f in enumerate(facets) if f >> v & 1) for v in range(size)
-        ]
-
-
 def test_many_facets_of_many_sizes_pass_the_antichain_check_quickly():
     # Ind of 13 disjoint paths X[1,i]-X[2,i]-X[3,i]: 2^13 facets of sizes 13..26,
     # which a facet-by-facet comparison took seconds to check

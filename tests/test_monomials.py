@@ -4,6 +4,7 @@ import pytest
 
 from conftest import contains_monomial, lcm
 from cmgraphs import (
+    InputError,
     Monomial,
     MonomialIdeal,
     ParseError,
@@ -135,3 +136,11 @@ def test_read_ideal_skips_comments_and_rejects_garbage(tmp_path):
     path.write_text("X[1,1)*X[2,2]\n")
     with pytest.raises(ParseError):
         read_ideal(path, 2, 3)
+
+
+def test_read_ideal_reports_an_unreadable_file_as_input(tmp_path):
+    for path in (tmp_path / "missing.txt", tmp_path):
+        with pytest.raises(InputError) as excinfo:
+            read_ideal(path, 2, 3)
+        assert excinfo.value.code == "E_INPUT"
+        assert excinfo.value.message.startswith(f"cannot read ideal file {path}: ")

@@ -22,6 +22,7 @@ from cmgraphs import (
 )
 from cmgraphs.posets import (
     Relation,
+    _transpose,
     family_from_dict,
     family_to_dict,
     mask_of,
@@ -246,6 +247,16 @@ def test_order_ideal_byte_tables_span_every_element():
     for k in range(2, 21):
         assert not is_order_ideal(rel, 1 << (k - 1))  # {p_k} misses p_{k-1}
         assert not is_order_ideal(rel, (1 << k) - 2)  # the prefix misses p_1
+
+
+def test_transpose_turns_rows_into_columns():
+    rng = random.Random(7)
+    for size in (0, 1, 8, 9, 70):
+        for count in (0, 1, rng.randint(2, 20)):
+            rows = [rng.getrandbits(size) if size else 0 for _ in range(count)]
+            assert _transpose(size, rows) == [
+                sum(1 << k for k, row in enumerate(rows) if row >> v & 1) for v in range(size)
+            ]
 
 
 def test_family_dict_roundtrip(sample):

@@ -1,8 +1,9 @@
 """Generated-family properties: the three dual routes agree, both chain
 orders extend componentwise inclusion, and the facets of the family graph's
 independence complex are the complements of the chain-monomial supports.
-The mask-keyed generator sort, the byte-table order-ideal test and the
-cover-walk random extension agree with their plain definitions.
+The mask-keyed generator sort, the byte-table order-ideal test, the
+transposed down-sets and chain below-masks, and the cover-walk random
+extension agree with their plain definitions.
 Generated-ideal and generated-complex properties: the double dual is the
 identity, the CM verdict does not depend on vertex order, the
 Bron-Kerbosch facets of quadratic ideals and r-partite graphs are the
@@ -42,6 +43,7 @@ from cmgraphs import (  # noqa: E402
     minimalize,
     random_linear_extension,
 )
+from cmgraphs.chains import _pack, _predecessors  # noqa: E402
 from cmgraphs.duality import _minimal_transversals  # noqa: E402
 from cmgraphs.monomials import sort_gens  # noqa: E402
 from cmgraphs.posets import Relation, _union_of_rows, is_order_ideal  # noqa: E402
@@ -245,6 +247,9 @@ def relations_with_masks(draw):
 @given(relations_with_masks())
 def test_is_order_ideal_matches_the_row_definition(case):
     rel, masks = case
+    assert rel.down_masks == tuple(
+        sum(1 << i for i in range(rel.n) if rel.rows[i] >> j & 1) for j in range(rel.n)
+    )
     for m in masks:
         assert is_order_ideal(rel, m) == (_union_of_rows(rel.down_masks, m) & ~m == 0)
 
@@ -253,7 +258,11 @@ def kahn_on_successors(chains, rng):
     """The random Kahn walk over every strict successor, not only covers."""
     m = len(chains)
     below = [
-        [j for j in range(m) if j != k and all(a & ~b == 0 for a, b in zip(chains[j], chains[k]))]
+        [
+            j
+            for j in range(m)
+            if chains[j] != chains[k] and all(a & ~b == 0 for a, b in zip(chains[j], chains[k]))
+        ]
         for k in range(m)
     ]
     succs = [[k for k in range(m) if j in below[k]] for j in range(m)]
@@ -273,9 +282,16 @@ def kahn_on_successors(chains, rng):
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)
-@given(families(), st.integers(0, 2**32 - 1))
-def test_random_extension_walks_covers_to_the_successor_walk_order(fam, seed):
+@given(families(), st.integers(0, 2**32 - 1), st.booleans())
+def test_random_extension_walks_covers_to_the_successor_walk_order(fam, seed, repeat):
     chains = enumerate_chains(fam)
+    if repeat:  # a chain given twice is incomparable with its copy
+        chains.append(chains[seed % len(chains)])
     random.Random(seed).shuffle(chains)
+    packed = [_pack(c, fam.n) for c in chains]
+    below = _predecessors(tuple(chains))[0]
+    assert below == tuple(
+        sum(1 << j for j, pj in enumerate(packed) if pj & ~pk == 0 and pj != pk) for pk in packed
+    )
     got = random_linear_extension(chains, random.Random(seed)).chains
     assert got == kahn_on_successors(chains, random.Random(seed))
