@@ -8,6 +8,7 @@ from .chains import (
     build_hr,
     chain_compare,
     chain_monomial,
+    check_all_extensions,
     check_linear_quotients,
     enumerate_chains,
     find_linear_quotients_order,
@@ -15,6 +16,7 @@ from .chains import (
     gamma_chain,
     linear_extension,
     random_linear_extension,
+    witness_extension,
 )
 from .duality import (
     SimplicialComplex,

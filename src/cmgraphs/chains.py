@@ -20,6 +20,23 @@ The layer works on ints throughout.  chain_monomial validates a caller's
 chain in full (byte-table order-ideal tests, then nesting); build_hr packs
 its own enumerated chains, valid by construction, and checks only that no
 two monomials collide.  Random extensions walk the chains' cover relation.
+
+Linear quotients in every linear extension are decided in one pass
+(check_all_extensions).  The chains below k come before k in every
+extension, and a chain j can come before k in some extension exactly when
+j is neither k nor above k: the down-set of j with the chains below k is
+then a prefix.  So every extension has linear quotients iff, for each k,
+the one-variable quotients of the chains below k cover every chain that
+is neither above k nor k itself.  That suffices at once.  It is necessary
+because of the shape of chain monomials.  Let l_i(C) be the level a with
+p_i in I_{a-1} but not I_a, so u_C lacks exactly the X[l_i(C), i], and
+C <= D iff l_i(C) <= l_i(D) for every i.  The quotient of u_C by u_k is
+one variable exactly when C and k differ at one index i only; it is
+X[l_i(k), i], and it divides the quotient of u_j iff j and k differ at i.
+A chain C <= j not below k with such a quotient has l_i(C) > l_i(k), so
+l_i(j) > l_i(k) and l_h(j) >= l_h(k) at every other h: j lies above k.
+Hence the extension that places the down-set of j and the chains
+below k first, then k, fails at k (witness_extension).
 """
 
 from __future__ import annotations
@@ -42,6 +59,7 @@ from .posets import (
     _union_of_rows,
     composite_rows,
     ideal_closure,
+    members,
     order_ideals,
     validate_chain,
 )
@@ -92,6 +110,13 @@ def chain_monomial(family: RelationFamily, chain) -> Monomial:
     return Monomial(r, n, mask)
 
 
+def _monomial_masks(family: RelationFamily, chains) -> list[int]:
+    """The chain monomials' masks, packed without chain_monomial's validation."""
+    n = family.n
+    low = (1 << (family.r - 1) * n) - 1
+    return [p | (~p & low) << n for p in (_pack(c, n) for c in chains)]
+
+
 def build_hr(family: RelationFamily) -> MonomialIdeal:
     """The ideal generated by all chain monomials of the family.
 
@@ -101,10 +126,8 @@ def build_hr(family: RelationFamily) -> MonomialIdeal:
     packed here directly, without chain_monomial's validation.
     """
     n, r = family.n, family.r
-    low = (1 << (r - 1) * n) - 1
-    packed = [_pack(c, n) for c in enumerate_chains(family)]
-    masks = [p | (~p & low) << n for p in packed]
-    if len(set(masks)) != len(packed):
+    masks = _monomial_masks(family, enumerate_chains(family))
+    if len(set(masks)) != len(masks):
         raise InternalMismatchError(
             "chain -> monomial map failed to be injective; generators collide"
         )
@@ -231,37 +254,42 @@ class LinearQuotientsVerdict:
 def _columns(masks: list[int]) -> tuple[int, list[int]]:
     """The union of the masks, and the masks transposed into variable columns.
 
-    Column v has bit k set exactly when masks[k] holds v.
+    Column v has bit k set exactly when masks[k] holds v.  The union is read
+    off the columns, one bit per variable, rather than ORed over the masks.
     """
-    union = _union_of_rows(masks, (1 << len(masks)) - 1)
-    return union, _transpose(union.bit_length(), masks)
+    columns = _transpose(max(masks, default=0).bit_length(), masks)
+    return sum(1 << v for v, col in enumerate(columns) if col), columns
 
 
-def _blocked(columns: list[int], earlier: int, outside: int) -> int:
-    """The positions of `earlier` whose quotient meets no one-variable quotient.
+def _blocked(columns: list[int], sources: int, targets: int, outside: int) -> int:
+    """The positions of `targets` that no one-variable quotient from `sources` covers.
 
-    For a generator u, the quotient of an earlier u_k is the support of
+    For a generator u, the quotient of another u_k is the support of
     u_k/gcd(u_k,u): the variables of `outside` (the union minus u) whose
-    column holds k.  Bit-sliced counters over those columns give the
-    positions whose quotient is exactly one variable; a variable whose column
-    meets them is such a quotient itself, and every position its column holds
-    passes.  A repeated generator has the empty quotient and never passes.
+    column holds k.  Bit-sliced counters over those columns, restricted to
+    the sources, give the sources whose quotient is exactly one variable; a
+    variable whose column meets them is such a quotient itself, and every
+    position its column holds is covered.  The exact sources lie inside the
+    sources, so the full column meets them where its restriction does and is
+    ORed in as it is.  A repeated generator has the empty quotient and is
+    never covered.
     """
     ones = twos = 0
-    cols = []
+    fulls = []
     while outside:
         low = outside & -outside
         outside ^= low
-        col = columns[low.bit_length() - 1] & earlier
+        full = columns[low.bit_length() - 1]
+        col = full & sources
         twos |= ones & col
         ones |= col
-        cols.append(col)
+        fulls.append(full)
     exact = ones & ~twos
     cover = 0
-    for col in cols:
-        if col & exact:
-            cover |= col
-    return earlier & ~cover
+    for full in fulls:
+        if full & exact:
+            cover |= full
+    return targets & ~cover
 
 
 def check_linear_quotients(gens) -> LinearQuotientsVerdict:
@@ -279,11 +307,61 @@ def check_linear_quotients(gens) -> LinearQuotientsVerdict:
         raise DegreeError(f"generators are not equigenerated: degrees {sorted(degs)}")
     union, columns = _columns(masks)
     for i in range(1, len(masks)):
-        blocked = _blocked(columns, (1 << i) - 1, union & ~masks[i])
+        earlier = (1 << i) - 1
+        blocked = _blocked(columns, earlier, earlier, union & ~masks[i])
         if blocked:
             j = (blocked & -blocked).bit_length()  # 1-based lowest blocked
             return LinearQuotientsVerdict(False, (j, i + 1))
     return LinearQuotientsVerdict(True)
+
+
+def check_all_extensions(family: RelationFamily, chains) -> LinearQuotientsVerdict:
+    """Linear quotients of the chain monomials in every linear extension at once.
+
+    Pass iff for each k the one-variable quotients of the chains below k
+    cover every chain that is neither above k nor k itself (see the module
+    docstring for the proof), which takes one _blocked call per chain.  On
+    failure the witness is the first 1-based (j, k), positions in `chains`:
+    u_j blocks u_k in witness_extension(chains, j, k).  The chains are the
+    family's, as enumerate_chains lists them, in any order and not
+    validated; any subset of them works too.
+    """
+    chains = tuple(map(tuple, chains))
+    masks = _monomial_masks(family, chains)
+    union, columns = _columns(masks)
+    below = _predecessors(chains)[0]
+    above = _transpose(len(chains), below)
+    everything = (1 << len(chains)) - 1
+    for k, mask in enumerate(masks):
+        targets = everything & ~above[k] & ~(1 << k)
+        blocked = _blocked(columns, below[k], targets, union & ~mask)
+        if blocked:
+            j = (blocked & -blocked).bit_length()  # 1-based lowest blocked
+            return LinearQuotientsVerdict(False, (j, k + 1))
+    return LinearQuotientsVerdict(True)
+
+
+def witness_extension(chains, j: int, k: int) -> ChainOrder:
+    """The linear extension in which u_j blocks u_k when the certificate fails there.
+
+    The down-set of chain j together with the chains below k comes first,
+    then k, then the rest, each part in canonical order.  j and k are
+    1-based positions in `chains`; chain j must not be k or lie above it.
+    """
+    chains = tuple(map(tuple, chains))
+    below = _predecessors(chains)[0]
+    j, k = j - 1, k - 1
+    if j == k or below[j] >> k & 1:
+        raise ChainError(f"chain {chains[j]} is not placed before {chains[k]} by any extension")
+    first = below[j] | 1 << j | below[k]
+    rest = ((1 << len(chains)) - 1) & ~first & ~(1 << k)
+    return ChainOrder(
+        tuple(
+            chain
+            for part in (first, 1 << k, rest)
+            for chain in sorted((chains[p - 1] for p in members(part)), key=_chain_sort_key)
+        )
+    )
 
 
 def find_linear_quotients_order(
@@ -325,7 +403,7 @@ def find_linear_quotients_order(
         for cand in range(m):
             if placed >> cand & 1:
                 continue
-            if not _blocked(columns, placed, union & ~masks[cand]):
+            if not _blocked(columns, placed, placed, union & ~masks[cand]):
                 order.append(cand)
                 if search(placed | 1 << cand, order):
                     return True

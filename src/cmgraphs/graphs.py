@@ -260,20 +260,24 @@ def check_family_conditions(family: RelationFamily) -> ConditionReport:
 
     comp_witnesses = []
     chain_witnesses = []
-    for a in range(1, family.r):
+    n = family.n
+    # independent re-derivation of reachability, both directions: one
+    # forward sweep per (a, i) and one backward sweep per (b, j) serve
+    # every window
+    levels = range(1, family.r)
+    fwd = {(a, i): _forward_reach(family, a, i) for a in levels for i in range(1, n + 1)}
+    bwd = {(b, j): _backward_reach(family, b, j) for b in levels for j in range(1, n + 1)}
+    for a in levels:
         for b in range(a, family.r):
             rel = composite_relation(family, a, b).rel
             w = rel.monotonicity_witness()
             if w is not None:
                 comp_witnesses.append(("window", a, b, "not-index-monotone", w))
-            # independent re-derivation of reachability, both directions
-            fwd_rows = [_forward_reach(family, a, b, i) for i in range(1, family.n + 1)]
-            bwd_rows = [_backward_reach(family, a, b, j) for j in range(1, family.n + 1)]
-            for i in range(1, family.n + 1):
-                for j in range(1, family.n + 1):
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
                     via_comp = rel.holds(i, j)
-                    via_fwd = j in fwd_rows[i - 1]
-                    via_bwd = i in bwd_rows[j - 1]
+                    via_fwd = j in fwd[a, i][b - a]
+                    via_bwd = i in bwd[b, j][a - 1]
                     if not (via_comp == via_fwd == via_bwd):
                         chain_witnesses.append(
                             ("window", a, b, "pair", (i, j), via_comp, via_fwd, via_bwd)
@@ -293,30 +297,38 @@ def check_family_conditions(family: RelationFamily) -> ConditionReport:
     )
 
 
-def _forward_reach(family: RelationFamily, a: int, b: int, i: int) -> set[int]:
-    """Elements reachable from p_i via one hop per level a..b."""
+def _forward_reach(family: RelationFamily, a: int, i: int) -> list[set[int]]:
+    """Elements reachable from p_i via one hop per level a..b, for b = a..r-1.
+
+    Entry b - a is the frontier after level b.
+    """
     frontier = {i}
-    for lvl in range(a, b + 1):
-        rel = family.level(lvl)
+    frontiers = []
+    for rel in family.levels[a - 1 :]:
         frontier = {
             j
             for j in range(1, family.n + 1)
             if any(rel.holds(s, j) for s in frontier)
         }
-    return frontier
+        frontiers.append(frontier)
+    return frontiers
 
 
-def _backward_reach(family: RelationFamily, a: int, b: int, j: int) -> set[int]:
-    """Elements that reach p_j via one hop per level a..b."""
+def _backward_reach(family: RelationFamily, b: int, j: int) -> list[set[int]]:
+    """Elements that reach p_j via one hop per level a..b, for a = 1..b.
+
+    Entry a - 1 is the frontier after level a.
+    """
     frontier = {j}
-    for lvl in range(b, a - 1, -1):
-        rel = family.level(lvl)
+    frontiers = []
+    for rel in reversed(family.levels[:b]):
         frontier = {
             i
             for i in range(1, family.n + 1)
             if any(rel.holds(i, t) for t in frontier)
         }
-    return frontier
+        frontiers.append(frontier)
+    return frontiers[::-1]
 
 
 def _consecutive_adjacency(graph: MultipartiteGraph) -> list[list[int]]:

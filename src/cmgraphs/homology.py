@@ -179,6 +179,12 @@ class CMCertificate:
 # ---------------------------------------------------------------------------
 
 
+def _check_face_budget(face_budget) -> None:
+    """A face budget must be an int of at least 1; a bool is not one."""
+    if type(face_budget) is not int or face_budget < 1:
+        raise RangeError(f"face budget must be an integer of at least 1, got {face_budget!r}")
+
+
 def _faces_by_dim(facets, face_budget: int) -> list[list[int]]:
     """Faces grouped by dimension, each group ascending.
 
@@ -418,6 +424,7 @@ def reduced_homology(
     of dimension d: a boundary rank that overcounts drives one below zero
     and raises InternalMismatchError.
     """
+    _check_face_budget(face_budget)
     if cx.is_void():
         raise ValueError("the void complex has no reduced homology profile")
     return _homology_of_faces(_faces_by_dim(cx.facets, face_budget), field)
@@ -811,6 +818,7 @@ def is_cohen_macaulay(
     If it finds none, the two walks disagree and InternalMismatchError is
     raised.  On success purity is asserted, since the criterion implies it.
     """
+    _check_face_budget(face_budget)
     nbr = _flag_graph(cx)
     if nbr is None:
         return _cm_by_faces(cx, field, face_budget)

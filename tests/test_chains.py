@@ -15,6 +15,7 @@ from cmgraphs import (
     build_hr,
     chain_compare,
     chain_monomial,
+    check_all_extensions,
     check_linear_quotients,
     enumerate_chains,
     find_linear_quotients_order,
@@ -23,6 +24,7 @@ from cmgraphs import (
     linear_extension,
     minimalize,
     random_linear_extension,
+    witness_extension,
 )
 from cmgraphs.verification import random_family
 
@@ -267,6 +269,73 @@ def test_find_order_is_none_exactly_when_no_permutation_passes():
             assert lq_reference([g.mask for g in result]) is None
             found += 1
     assert 20 < found < 140
+
+
+def every_extension_passes(fam, chains):
+    """Linear quotients by lq_reference in every ordering of the chains that
+    extends componentwise inclusion, the orderings listed one by one."""
+    masks = [chain_monomial(fam, c).mask for c in chains]
+    m = len(chains)
+    below = [
+        {j for j in range(m) if chain_compare(chains[j], chains[k]) == "less"}
+        for k in range(m)
+    ]
+    for perm in permutations(range(m)):
+        if all(below[k] <= set(perm[:pos]) for pos, k in enumerate(perm)):
+            if lq_reference([masks[k] for k in perm]) is not None:
+                return False
+    return True
+
+
+def test_all_extensions_certificate_matches_every_extension():
+    rng = random.Random(8080)
+    negatives = 0
+    for _ in range(600):
+        fam = random_family(rng, max_n=3, max_r=4)
+        chains = enumerate_chains(fam)
+        subset = rng.sample(chains, min(rng.randint(3, 7), len(chains)))
+        verdict = check_all_extensions(fam, subset)
+        assert verdict.passed == (verdict.witness is None)
+        assert verdict.passed == every_extension_passes(fam, subset), subset
+        negatives += not verdict.passed
+    assert negatives >= 100
+    # the whole chain set of a family passes, in any order given
+    for _ in range(20):
+        fam = random_family(rng, max_n=4, max_r=4)
+        chains = enumerate_chains(fam)
+        rng.shuffle(chains)
+        assert check_all_extensions(fam, chains).passed
+
+
+def test_witness_extension_fails_linear_quotients():
+    rng = random.Random(9090)
+    negatives = 0
+    for _ in range(400):
+        fam = random_family(rng, max_n=4, max_r=4)
+        chains = enumerate_chains(fam)
+        subset = rng.sample(chains, rng.randint(2, min(24, len(chains))))
+        verdict = check_all_extensions(fam, subset)
+        if verdict.passed:
+            continue
+        negatives += 1
+        j, k = verdict.witness
+        order = witness_extension(subset, j, k)
+        assert sorted(order.chains) == sorted(subset)
+        assert_respects_inclusion(order)
+        at = order.chains.index(subset[k - 1])
+        assert subset[j - 1] in order.chains[:at]
+        masks = [chain_monomial(fam, c).mask for c in order.chains]
+        assert lq_reference(masks) is not None
+        assert not check_linear_quotients([chain_monomial(fam, c) for c in order.chains])
+    assert negatives >= 100
+
+
+def test_witness_extension_rejects_a_pair_no_extension_orders(sample):
+    chains = enumerate_chains(sample)
+    with pytest.raises(ChainError, match="not placed before"):
+        witness_extension(chains, 3, 3)
+    with pytest.raises(ChainError, match="not placed before"):
+        witness_extension(chains, 15, 1)  # the top chain lies above the bottom one
 
 
 def test_linear_quotients_on_the_five_by_six_identity_grid():

@@ -8,6 +8,7 @@ import pytest
 
 from cmgraphs import (
     InternalMismatchError,
+    LinearQuotientsVerdict,
     MultipartiteGraph,
     RelationFamily,
     duality,
@@ -326,6 +327,31 @@ def test_verify_paper_exits_3_when_the_cm_walks_disagree(capsys, monkeypatch):
     assert rc == 3
     assert out == ""
     assert "E_INTERNAL: CM over gf2" in err
+
+
+def test_verify_paper_exits_3_when_the_linear_quotients_routes_disagree(capsys, monkeypatch):
+    # an explicit order that fails where the certificate passes
+    real = verification.check_linear_quotients
+    monkeypatch.setattr(
+        verification, "check_linear_quotients", lambda gens: LinearQuotientsVerdict(False, (1, 2))
+    )
+    rc, out, err = run(capsys, "verify-paper")
+    assert rc == 3
+    assert out == ""
+    assert "E_INTERNAL: linear quotients for family" in err
+    assert "the certificate gives True, None and an explicit order False, (1, 2)" in err
+    # a certificate that fails where its witness extension passes: the bottom
+    # chain blocking the top one puts every other chain first, canonically
+    monkeypatch.setattr(verification, "check_linear_quotients", real)
+    monkeypatch.setattr(
+        verification,
+        "check_all_extensions",
+        lambda fam, chains: LinearQuotientsVerdict(False, (1, len(chains))),
+    )
+    rc, out, err = run(capsys, "verify-paper")
+    assert rc == 3
+    assert out == ""
+    assert "and an explicit order True, None" in err
 
 
 def test_import_leaves_numpy_unloaded():

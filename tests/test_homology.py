@@ -313,6 +313,18 @@ def test_face_budget_is_enforced():
         reduced_homology(simplex22)
 
 
+def test_face_budget_must_be_a_positive_int():
+    # a bad budget is a bad argument, not a size overflow
+    ind_c5 = independence_complex(cycle_graph(5))
+    for budget in (-5, 0, True, 2.5):
+        with pytest.raises(RangeError, match="face budget must be an integer of at least 1"):
+            is_cohen_macaulay(ind_c5, face_budget=budget)
+        with pytest.raises(RangeError, match="face budget must be an integer of at least 1"):
+            reduced_homology(ind_c5, face_budget=budget)
+    assert is_cohen_macaulay(ind_c5, face_budget=11).verdict
+    assert reduced_homology(ind_c5, face_budget=11) == reduced_homology(ind_c5)
+
+
 def test_overcounted_boundary_rank_raises(monkeypatch):
     # the negative-rank check is the guard: one column too many in every
     # boundary map's pivots (a column no face has, so clearing is unchanged)
