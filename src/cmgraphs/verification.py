@@ -53,10 +53,14 @@ from .graphs import (
     independence_complex,
 )
 from .homology import (
+    DEFAULT_FACE_BUDGET,
     GF2,
     RATIONAL,
     CMCertificate,
+    _certified_size,
     _cm_by_faces,
+    _cm_by_graph,
+    _flag_graph,
     is_cohen_macaulay,
     reduced_homology,
 )
@@ -322,18 +326,42 @@ def _checked_independence_complex(graph) -> SimplicialComplex:
     return cx
 
 
-def _checked_cm(cx: SimplicialComplex, field) -> CMCertificate:
-    """The CM certificate of a flag complex, from the graph walk, whose verdict
-    and witness must equal the face walk's; a difference raises
-    InternalMismatchError."""
-    cert = is_cohen_macaulay(cx, field)
-    by_faces = _cm_by_faces(cx, field)
-    if (cert.verdict, cert.witness) != (by_faces.verdict, by_faces.witness):
-        raise InternalMismatchError(
-            f"CM over {field}: the graph walk gives {cert.verdict}, {cert.witness} "
-            f"and the face walk {by_faces.verdict}, {by_faces.witness}"
-        )
-    return cert
+def _checked_cm(cx: SimplicialComplex, fields) -> list[CMCertificate]:
+    """The CM certificates of a flag complex over each field, each checked
+    against the face walk; a difference raises InternalMismatchError.
+
+    The vertex-decomposition certificate, replayed, runs once per complex,
+    since it holds over every field.  A complex it certifies must be CM by
+    the graph walk and by the face walk over every field.  Any other
+    complex gets its verdict from is_cohen_macaulay, which is then the
+    graph walk with the face walk's witness, and verdict and witness must
+    equal the face walk's.
+    """
+    nbr = _flag_graph(cx)
+    if nbr is None:
+        raise InternalMismatchError("an independence complex is not the flag complex of its graph")
+    certified = _certified_size(cx, nbr, DEFAULT_FACE_BUDGET)
+    certs = []
+    for field in fields:
+        by_faces = _cm_by_faces(cx, field)
+        if certified is not None:
+            by_graph = _cm_by_graph(nbr, field, DEFAULT_FACE_BUDGET)
+            if not (by_graph and by_faces.verdict):
+                raise InternalMismatchError(
+                    f"CM over {field}: a vertex decomposition certifies Ind(G) pure of size "
+                    f"{certified}, but the graph walk gives {by_graph} and the face walk "
+                    f"{by_faces.verdict}, {by_faces.witness}"
+                )
+            cert = by_faces
+        else:
+            cert = is_cohen_macaulay(cx, field)
+            if (cert.verdict, cert.witness) != (by_faces.verdict, by_faces.witness):
+                raise InternalMismatchError(
+                    f"CM over {field}: the graph walk gives {cert.verdict}, {cert.witness} "
+                    f"and the face walk {by_faces.verdict}, {by_faces.witness}"
+                )
+        certs.append(cert)
+    return certs
 
 
 def criterion_5_cohen_macaulay(seed: int) -> tuple[bool, str]:
@@ -341,7 +369,8 @@ def criterion_5_cohen_macaulay(seed: int) -> tuple[bool, str]:
 
     Every independence complex is also checked against Berge's kernel, which
     shares no code with the Bron-Kerbosch kernel that lists its facets, and
-    every CM verdict and witness of the graph walk against the face walk's.
+    every CM verdict and witness of the graph walk against the face walk's;
+    a complex that a vertex decomposition certifies must be CM by both.
     """
     rng = random.Random(seed ^ 0xC5)
     problems = []
@@ -352,18 +381,17 @@ def criterion_5_cohen_macaulay(seed: int) -> tuple[bool, str]:
             problems.append(f"family conditions fail for n={fam.n} r={fam.r}")
             continue
         cx = _checked_independence_complex(graph_of_family(fam))
-        for field in (GF2, RATIONAL):
-            cert = _checked_cm(cx, field)
+        for cert in _checked_cm(cx, (GF2, RATIONAL)):
             if not cert.verdict:
                 problems.append(
-                    f"family n={fam.n} r={fam.r} not CM over {field}: witness {cert.witness}"
+                    f"family n={fam.n} r={fam.r} not CM over {cert.field}: witness {cert.witness}"
                 )
         count += 1
     for n in (1, 2, 3):
         for r in (3, 4):
             for slices in (None, random_staircase_slices(rng, n, r)):
                 g = build_complete_multipartite(n, r, slices)
-                cert = _checked_cm(_checked_independence_complex(g), GF2)
+                [cert] = _checked_cm(_checked_independence_complex(g), (GF2,))
                 if not cert.verdict:
                     problems.append(
                         f"construction n={n} r={r} not CM: witness {cert.witness}"
@@ -371,14 +399,14 @@ def criterion_5_cohen_macaulay(seed: int) -> tuple[bool, str]:
                 count += 1
     c5 = cycle_graph(5)
     cx5 = _checked_independence_complex(c5)
-    for field in (GF2, RATIONAL):
-        if not _checked_cm(cx5, field).verdict:
-            problems.append(f"five-cycle not CM over {field}")
+    for cert in _checked_cm(cx5, (GF2, RATIONAL)):
+        if not cert.verdict:
+            problems.append(f"five-cycle not CM over {cert.field}")
     if check_theorem1(c5).passed:
         problems.append("five-cycle unexpectedly passes the first structure check")
     if check_theorem2(c5).passed:
         problems.append("five-cycle unexpectedly passes the second structure check")
-    cert4 = _checked_cm(_checked_independence_complex(cycle_graph(4)), GF2)
+    [cert4] = _checked_cm(_checked_independence_complex(cycle_graph(4)), (GF2,))
     if cert4.verdict:
         problems.append("four-cycle unexpectedly CM")
     elif cert4.witness != ((), 0, 1):

@@ -1,8 +1,10 @@
 """Command-line surface: verbs, formats, exit codes, determinism."""
 
 import json
+import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,12 +13,18 @@ from cmgraphs import (
     LinearQuotientsVerdict,
     MultipartiteGraph,
     RelationFamily,
+    close_relation,
     duality,
     homology,
+    independence_complex,
     verification,
 )
 from cmgraphs.cli import main
 from cmgraphs.graphs import build_complete_multipartite, cycle_graph, graph_of_family
+from cmgraphs.homology import _flag_graph
+from cmgraphs.posets import family_to_dict
+
+R7_FAMILY = Path(__file__).parent / "data" / "family_r7_n7.json"
 
 
 @pytest.fixture
@@ -352,6 +360,71 @@ def test_verify_paper_exits_3_when_the_linear_quotients_routes_disagree(capsys, 
     assert rc == 3
     assert out == ""
     assert "and an explicit order True, None" in err
+
+
+def test_verify_paper_exits_3_when_a_certificate_calls_the_four_cycle_cm(capsys, monkeypatch):
+    # Ind(C4) is two disjoint edges: pure, but not CM.  A kernel that forges
+    # a certificate for it is caught by the replay; with a replay that trusts
+    # it as well, criterion 5 finds both walks against the certificate
+    c4 = _flag_graph(independence_complex(cycle_graph(4)))
+    real_kernel, real_replay = homology._vd_certificate, homology._replay_vd
+    monkeypatch.setattr(
+        homology,
+        "_vd_certificate",
+        lambda nbr, budget: {0b1111: (0, 2, 2)} if nbr == c4 else real_kernel(nbr, budget),
+    )
+    rc, out, err = run(capsys, "verify-paper")
+    assert rc == 3
+    assert out == ""
+    assert "E_INTERNAL: in state 0xf, vertex 2 does not dominate 0" in err
+    monkeypatch.setattr(
+        homology,
+        "_replay_vd",
+        lambda nbr, steps: 2 if nbr == c4 else real_replay(nbr, steps),
+    )
+    rc, out, err = run(capsys, "verify-paper")
+    assert rc == 3
+    assert out == ""
+    assert (
+        "E_INTERNAL: CM over gf2: a vertex decomposition certifies Ind(G) pure of size 2, "
+        "but the graph walk gives False and the face walk False, ((), 0, 1)"
+    ) in err
+
+
+def test_r7_family_data_is_the_second_seeded_draw():
+    # family graphs r = n = k are drawn from random.Random(7) for k = 6, 7,
+    # ...: each of the k - 1 levels takes every pair i < j with probability
+    # 0.3 and closes them to an order
+    rng = random.Random(7)
+
+    def draw(k):
+        levels = []
+        for _ in range(k - 1):
+            pairs = [
+                (i, j)
+                for i in range(1, k + 1)
+                for j in range(i + 1, k + 1)
+                if rng.random() < 0.3
+            ]
+            levels.append(close_relation(k, pairs))
+        return RelationFamily(k, k, tuple(levels))
+
+    draw(6)
+    assert family_to_dict(draw(7)) == json.loads(R7_FAMILY.read_text())
+
+
+def test_graph_cm_certifies_the_r7_family_graph_without_the_graph_walk(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the graph walk ran on a certified complex")
+
+    monkeypatch.setattr(homology, "_cm_by_graph", refuse)
+    # the bytes the graph walk's verdict printed, in text and in JSON
+    rc, out, err = run(capsys, "graph", "cm", str(R7_FAMILY))
+    assert (rc, err) == (0, "")
+    assert out == "independence complex: 15549 facets\nCohen-Macaulay over gf2: yes\n"
+    rc, out, err = run(capsys, "graph", "cm", str(R7_FAMILY), "--format", "json")
+    assert (rc, err) == (0, "")
+    assert out == '{\n  "cohen_macaulay": true,\n  "facet_count": 15549,\n  "field": "gf2"\n}\n'
 
 
 def test_import_leaves_numpy_unloaded():

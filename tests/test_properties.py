@@ -7,8 +7,9 @@ extension agree with their plain definitions.
 Generated-ideal and generated-complex properties: the double dual is the
 identity, the CM verdict does not depend on vertex order, the
 Bron-Kerbosch facets of quadratic ideals and r-partite graphs are the
-complements of Berge's minimal transversals, and the graph walk and the
-face walk give r-partite graphs one CM verdict and witness."""
+complements of Berge's minimal transversals, the graph walk and the face
+walk give r-partite graphs one CM verdict and witness, and an r-partite
+graph that the vertex-decomposition certificate certifies is CM by both."""
 
 import random
 
@@ -53,6 +54,8 @@ from cmgraphs.homology import (  # noqa: E402
     _cm_by_faces,
     _cm_by_graph,
     _flag_graph,
+    _replay_vd,
+    _vd_certificate,
 )
 
 
@@ -210,6 +213,24 @@ def test_graph_walk_matches_the_face_walk(graph):
         assert _cm_by_graph(nbr, field, DEFAULT_FACE_BUDGET) == by_faces.verdict
         cert = is_cohen_macaulay(cx, field)
         assert (cert.verdict, cert.witness) == (by_faces.verdict, by_faces.witness)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(multipartite_graphs(max_r=4, max_n=3))
+@example(cycle_graph(4))
+@example(cycle_graph(5))
+@example(MultipartiteGraph(2, 3, frozenset(((1, i), (2, i)) for i in range(1, 4))))
+def test_certified_graphs_are_cm_by_both_walks(graph):
+    cx = independence_complex(graph)
+    nbr = _flag_graph(cx)
+    steps = _vd_certificate(nbr, DEFAULT_FACE_BUDGET)
+    if steps is None:
+        return
+    size = _replay_vd(nbr, steps)
+    assert all(f.bit_count() == size for f in cx.facets)
+    for field in (GF2, gfp(3), RATIONAL):
+        assert _cm_by_graph(nbr, field, DEFAULT_FACE_BUDGET)
+        assert _cm_by_faces(cx, field).verdict
 
 
 @st.composite
