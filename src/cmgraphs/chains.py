@@ -376,14 +376,13 @@ def find_linear_quotients_order(
     only "no order exists", never "gave up": exceeding the state budget
     raises instead.
     """
-    gens = ideal.gens
-    masks = [g.mask for g in gens]
+    masks = ideal.masks()
     degs = {mask.bit_count() for mask in masks}
     if len(degs) > 1:
         raise DegreeError(f"generators are not equigenerated: degrees {sorted(degs)}")
-    m = len(gens)
+    m = len(masks)
     if m <= 1:
-        return tuple(gens)
+        return ideal.gens
     union, columns = _columns(masks)
     full = (1 << m) - 1
     dead: set[int] = set()
@@ -413,7 +412,7 @@ def find_linear_quotients_order(
 
     order: list[int] = []
     if search(0, order):
-        found = tuple(gens[k] for k in order)
+        found = tuple(ideal.gens[k] for k in order)
         verdict = check_linear_quotients(found)
         if not verdict.passed:
             raise InternalMismatchError(

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import RangeError, SizeBudgetError, UnitIdealError
-from .monomials import Monomial, MonomialIdeal, minimalize, slot
+from .monomials import MonomialIdeal, minimalize, slot
 from .posets import RelationFamily, _transpose, reach_pairs
 
 # ---------------------------------------------------------------------------
@@ -307,8 +307,7 @@ def dual_ideal_bruteforce(ideal: MonomialIdeal, vertices) -> MonomialIdeal:
     """
     cx = complex_of_ideal(ideal, vertices)
     full = (1 << len(cx.vertices)) - 1
-    gens = [Monomial(ideal.r, ideal.n, full ^ f) for f in cx.facets]
-    return minimalize(gens, r=ideal.r, n=ideal.n)
+    return minimalize([full ^ f for f in cx.facets], ideal.r, ideal.n)
 
 
 def dual_hr_fast(family: RelationFamily) -> MonomialIdeal:

@@ -4,11 +4,19 @@ Vertices are the full grid X[a,i], a in [r], i in [n]; parts are the levels.
 Edges join distinct levels only.  Checkers return ConditionReport values
 whose failed conditions always carry at least one concrete witness; golden
 tests assert witness content, not just booleans.
+
+A graph is given by its edge set of label pairs, which it keeps for
+printing and files, and answers every adjacency question from one cached
+tuple of neighbourhood masks in the slot layout of the monomials: bit
+slot(b, j) of nbr[slot(a, i)] is set iff X[a,i] -- X[b,j] is an edge.  The
+edge ideal's generators are read off it as masks, and the checkers read a
+vertex's neighbours on one level as an n-bit row of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 import networkx as nx
@@ -26,6 +34,7 @@ from .posets import (
     RelationFamily,
     _union_of_rows,
     composite_relation,
+    members,
     reach_pairs,
     read_json,
 )
@@ -47,13 +56,17 @@ class MultipartiteGraph:
     edges: frozenset
 
     def __post_init__(self):
-        if self.r < 2 or self.n < 1:
-            raise RangeError(f"need r >= 2 and n >= 1, got r={self.r}, n={self.n}")
+        # sizes and coordinates index bit masks: a bool or a float is refused
+        r, n = self.r, self.n
+        if type(r) is not int or type(n) is not int:
+            raise RangeError(f"r and n must be integers, got r={r!r}, n={n!r}")
+        if r < 2 or n < 1:
+            raise RangeError(f"need r >= 2 and n >= 1, got r={r}, n={n}")
         for e in self.edges:
             (a, i), (b, j) = e
             for lvl, idx in e:
-                if not (1 <= lvl <= self.r and 1 <= idx <= self.n):
-                    raise RangeError(f"vertex X[{lvl},{idx}] outside the grid")
+                if not (type(lvl) is type(idx) is int and 1 <= lvl <= r and 1 <= idx <= n):
+                    raise RangeError(f"vertex X[{lvl!r},{idx!r}] outside the grid")
             if a == b:
                 raise PartsError(f"edge {edge_str(e)} joins two vertices of level {a}")
             if e != _canonical_edge(*e):
@@ -63,8 +76,24 @@ class MultipartiteGraph:
     def from_edges(cls, r: int, n: int, edges) -> MultipartiteGraph:
         return cls(r, n, frozenset(_canonical_edge(tuple(u), tuple(v)) for u, v in edges))
 
+    @cached_property
+    def nbr(self) -> tuple[int, ...]:
+        """Neighbourhood masks in slot layout: bit slot(b, j) of nbr[slot(a, i)]
+        is set iff X[a,i] -- X[b,j] is an edge.  Computed once per graph."""
+        n = self.n
+        nbr = [0] * (self.r * n)
+        for (a, i), (b, j) in self.edges:
+            u, v = slot(a, i, n), slot(b, j, n)
+            nbr[u] |= 1 << v
+            nbr[v] |= 1 << u
+        return tuple(nbr)
+
     def has_edge(self, u, v) -> bool:
-        return _canonical_edge(tuple(u), tuple(v)) in self.edges
+        (a, i), (b, j) = u, v
+        r, n = self.r, self.n
+        if not (1 <= a <= r and 1 <= b <= r and 1 <= i <= n and 1 <= j <= n):
+            return False
+        return bool(self.nbr[slot(a, i, n)] >> slot(b, j, n) & 1)
 
     def vertices(self) -> tuple:
         return grid_vertices(self.r, self.n)
@@ -74,13 +103,15 @@ class MultipartiteGraph:
 
     def part_pair_edges(self, a: int, b: int) -> set[tuple[int, int]]:
         """Index pairs (i, j) with an edge from X[a,i] to X[b,j]."""
-        out = set()
-        for (x, i), (y, j) in self.edges:
-            if (x, y) == (a, b):
-                out.add((i, j))
-            elif (x, y) == (b, a):
-                out.add((j, i))
-        return out
+        if not (1 <= a <= self.r and 1 <= b <= self.r):
+            raise PartsError(f"levels ({a},{b}) outside 1..{self.r}")
+        return {(i, j) for i in range(1, self.n + 1) for j in members(_row(self, a, i, b))}
+
+
+def _row(graph: MultipartiteGraph, a: int, i: int, b: int) -> int:
+    """The neighbours of X[a,i] on level b, as a mask with bit j - 1 for X[b,j]."""
+    n = graph.n
+    return graph.nbr[slot(a, i, n)] >> (b - 1) * n & (1 << n) - 1
 
 
 def edge_str(e: Edge) -> str:
@@ -148,9 +179,15 @@ def graph_of_family(family: RelationFamily) -> MultipartiteGraph:
 
 
 def edge_ideal(graph: MultipartiteGraph) -> MonomialIdeal:
-    n = graph.n
-    masks = [1 << slot(a, i, n) | 1 << slot(b, j, n) for (a, i), (b, j) in graph.edges]
-    return MonomialIdeal.from_masks(graph.r, n, masks)
+    """X[a,i]*X[b,j] for every edge: each vertex's bit with each later neighbour's."""
+    masks = []
+    for u, row in enumerate(graph.nbr):
+        row &= -2 << u  # the neighbours after u
+        while row:
+            low = row & -row
+            masks.append(1 << u | low)
+            row ^= low
+    return MonomialIdeal.from_masks(graph.r, graph.n, masks)
 
 
 def independence_complex(graph: MultipartiteGraph) -> SimplicialComplex:
@@ -160,13 +197,10 @@ def independence_complex(graph: MultipartiteGraph) -> SimplicialComplex:
 
 def complement_is_chordal(graph: MultipartiteGraph) -> bool:
     """Chordality of the complement over the FULL grid, intra-level pairs included."""
-    g = nx.Graph()
     verts = grid_vertices(graph.r, graph.n)
-    g.add_nodes_from(verts)
-    for k, u in enumerate(verts):
-        for v in verts[k + 1 :]:
-            if not graph.has_edge(u, v):
-                g.add_edge(u, v)
+    g = nx.empty_graph(verts)
+    for u, row in enumerate(graph.nbr):
+        g.add_edges_from((verts[u], v) for k, v in enumerate(verts) if k > u and not row >> k & 1)
     return nx.is_chordal(g)
 
 
@@ -331,15 +365,6 @@ def _backward_reach(family: RelationFamily, b: int, j: int) -> list[set[int]]:
     return frontiers[::-1]
 
 
-def _consecutive_adjacency(graph: MultipartiteGraph) -> list[list[int]]:
-    """cons[a-1][i-1] = bitmask of j with an edge X[a,i] -- X[a+1,j]."""
-    cons = [[0] * graph.n for _ in range(graph.r - 1)]
-    for (a, i), (b, j) in graph.edges:
-        if b == a + 1:
-            cons[a - 1][i - 1] |= 1 << (j - 1)
-    return cons
-
-
 def check_theorem1(graph: MultipartiteGraph) -> ConditionReport:
     """The four edge-pattern conditions characterizing family-built graphs.
 
@@ -354,7 +379,7 @@ def check_theorem1(graph: MultipartiteGraph) -> ConditionReport:
         for a in range(1, r)
         for b in range(a + 1, r + 1)
         for i in range(1, n + 1)
-        if ((a, i), (b, i)) not in graph.edges
+        if not _row(graph, a, i, b) >> (i - 1) & 1
     )
     cond1 = ConditionVerdict(
         "same-index vertices are adjacent across all level pairs",
@@ -371,7 +396,8 @@ def check_theorem1(graph: MultipartiteGraph) -> ConditionReport:
         bad_order,
     )
 
-    cons = _consecutive_adjacency(graph)
+    # cons[a-1][i-1] = bitmask of j with an edge X[a,i] -- X[a+1,j]
+    cons = [[_row(graph, a, i, a + 1) for i in range(1, n + 1)] for a in range(1, r)]
     path_witnesses = []
     for a in range(1, r):
         # reach[i-1] = bitmask of j reachable from X[a,i] at the current level
@@ -380,13 +406,10 @@ def check_theorem1(graph: MultipartiteGraph) -> ConditionReport:
             step = cons[b - 2]
             reach = [_union_of_rows(step, src) for src in reach]
             for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    has_path = bool(reach[i - 1] >> (j - 1) & 1)
-                    has_edge = ((a, i), (b, j)) in graph.edges
-                    if has_path and not has_edge:
-                        path_witnesses.append(("path-without-edge", a, i, b, j))
-                    elif has_edge and not has_path:
-                        path_witnesses.append(("edge-without-path", a, i, b, j))
+                path = reach[i - 1]
+                for j in members(path ^ _row(graph, a, i, b)):
+                    kind = "path-without-edge" if path >> (j - 1) & 1 else "edge-without-path"
+                    path_witnesses.append((kind, a, i, b, j))
     cond3 = ConditionVerdict(
         "edges match consecutive-level paths exactly",
         not path_witnesses,
@@ -395,13 +418,10 @@ def check_theorem1(graph: MultipartiteGraph) -> ConditionReport:
 
     trans_witnesses = tuple(
         (a, i, j, k)
-        for a in range(1, r)
+        for a, rows in enumerate(cons, start=1)
         for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        for k in range(1, n + 1)
-        if ((a, i), (a + 1, j)) in graph.edges
-        and ((a, j), (a + 1, k)) in graph.edges
-        and ((a, i), (a + 1, k)) not in graph.edges
+        for j in members(rows[i - 1])
+        for k in members(rows[j - 1] & ~rows[i - 1])
     )
     cond4 = ConditionVerdict(
         "consecutive levels compose transitively",
@@ -459,11 +479,10 @@ def herzog_hibi_conditions(m: int, n: int, pairs) -> HerzogHibiReport:
 
 def check_herzog_hibi(graph: MultipartiteGraph, a: int, b: int) -> HerzogHibiReport:
     """Run the bipartite pattern conditions on the (level a, level b) slice."""
-    if not (1 <= a <= graph.r and 1 <= b <= graph.r):
-        raise PartsError(f"levels ({a},{b}) outside 1..{graph.r}")
+    pairs = graph.part_pair_edges(a, b)  # levels outside the graph raise here
     if a == b:
         raise PartsError(f"need two distinct levels, got ({a},{b})")
-    return herzog_hibi_conditions(graph.n, graph.n, graph.part_pair_edges(a, b))
+    return herzog_hibi_conditions(graph.n, graph.n, pairs)
 
 
 def check_theorem2(graph: MultipartiteGraph) -> ConditionReport:
@@ -480,8 +499,7 @@ def check_theorem2(graph: MultipartiteGraph) -> ConditionReport:
         for a in range(1, r)
         for b in range(a + 1, r)
         for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        if ((a, i), (b, j)) not in graph.edges
+        for j in members(~_row(graph, a, i, b) & (1 << n) - 1)
     )
     cond2 = ConditionVerdict(
         "levels below the last are pairwise complete bipartite",

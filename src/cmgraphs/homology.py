@@ -722,13 +722,52 @@ def _join_ranks(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return out
 
 
+def _memo_walk(root: int, visit, budget: int, what: str) -> dict[int, int] | None:
+    """The values of a memoized walk over vertex masks, or None if one state fails.
+
+    visit(w) is a generator: it yields the masks whose values it needs, is
+    sent each value, and returns the value of w, an int, or None, which ends
+    the whole walk with None.  A mask of at most one vertex is a leaf whose
+    value is its vertex count; every other mask is visited once and
+    memoized.  The states run on an explicit stack, so no walk reaches the
+    recursion limit, and the states memoized or on the stack are held to
+    the budget; the SizeBudgetError names them `what` states.
+    """
+    memo: dict[int, int] = {}
+    stack = [(root, visit(root))] if root & root - 1 else []
+    value = None
+    while stack:
+        w, state = stack[-1]
+        try:
+            child = state.send(value)
+        except StopIteration as stop:
+            if stop.value is None:
+                return None
+            memo[w] = value = stop.value
+            stack.pop()
+            continue
+        if not child & child - 1:
+            value = child.bit_count()
+        elif child in memo:
+            value = memo[child]
+        else:
+            if len(memo) + len(stack) >= budget:
+                raise SizeBudgetError(
+                    f"{len(memo) + len(stack) + 1} {what} states exceed the budget of {budget}"
+                )
+            stack.append((child, visit(child)))
+            value = None
+    return memo
+
+
 def _cm_by_graph(nbr: list[int], field: FieldChoice, face_budget: int) -> bool:
     """Whether Ind(G) is Cohen-Macaulay over the field, for G given by neighbourhood masks.
 
-    The walk runs on vertex masks W, memoized: the link of a face F in
-    Ind(G) is Ind(G[V - N[F]]), so every link is Ind(G[W]) for some W.  The
-    verdict at W, with the independence number α of G[W] when it is CM:
-      - W empty: {∅}, CM with α = 0;
+    The walk runs on vertex masks W, memoized (_memo_walk): the link of a
+    face F in Ind(G) is Ind(G[V - N[F]]), so every link is Ind(G[W]) for
+    some W.  The verdict at W, with the independence number α of G[W] when
+    it is CM:
+      - W empty or one vertex: {∅} or a point, CM with α = 0 or 1;
       - a disconnected W is a join of its components' complexes, CM exactly
         when every factor is; α is the sum.  An isolated vertex is a
         component of its own, a point, so Ind(G[W]) is a cone over it and
@@ -740,9 +779,8 @@ def _cm_by_graph(nbr: list[int], field: FieldChoice, face_budget: int) -> bool:
     mask: a folded graph with an isolated vertex is a cone, so acyclic; one
     that splits has the join's ranks (_join_ranks) of its components, and a
     component's ranks come from its faces through _faces_by_dim and
-    _homology_of_faces.  States are generators on an explicit stack, so no
-    graph reaches the recursion limit, and their number is held to the face
-    budget, since each is the link of at least one face.
+    _homology_of_faces.  A W that is not CM fails every W above it, so it
+    ends the walk.  The states are held to the face budget.
     """
     closed = [m | 1 << v for v, m in enumerate(nbr)]
     homology: dict[int, dict[int, int]] = {}  # folded mask -> nonzero ranks
@@ -766,49 +804,23 @@ def _cm_by_graph(nbr: list[int], field: FieldChoice, face_budget: int) -> bool:
         return out
 
     def walk(w: int):
-        if not w:
-            return 0
         parts = _components(nbr, w)
         if len(parts) > 1:
             total = 0
             for part in parts:
-                s = yield part
-                if s is None:
-                    return None
-                total += s
+                total += yield part
             return total
         common = None
         for v in _bits(w):
             s = yield w & ~closed[v]
-            if s is None or common is not None and s != common:
+            if common is not None and s != common:
                 return None
             common = s
         if common and any(d < common for d in ranks(w)):
             return None
         return common + 1
 
-    root = (1 << len(nbr)) - 1
-    alpha: dict[int, int | None] = {}  # W -> α(G[W]) if Ind(G[W]) is CM, else None
-    stack = [(root, walk(root))]
-    value = None
-    while stack:
-        w, state = stack[-1]
-        try:
-            child = state.send(value)
-        except StopIteration as stop:
-            alpha[w] = value = stop.value
-            stack.pop()
-            continue
-        if child in alpha:
-            value = alpha[child]
-        else:
-            if len(alpha) + len(stack) > face_budget:
-                raise SizeBudgetError(
-                    f"{len(alpha) + len(stack)} link states exceed the budget of {face_budget}"
-                )
-            stack.append((child, walk(child)))
-            value = None
-    return alpha[root] is not None
+    return _memo_walk((1 << len(nbr)) - 1, walk, face_budget, "link") is not None
 
 
 # ---------------------------------------------------------------------------
@@ -819,11 +831,11 @@ def _cm_by_graph(nbr: list[int], field: FieldChoice, face_budget: int) -> bool:
 def _vd_certificate(nbr: list[int], face_budget: int) -> dict[int, tuple] | None:
     """A certificate that Ind(G) is pure and vertex decomposable, or None.
 
-    The search runs on vertex masks W, memoized, and gives each state it
-    certifies an entry (shed, dominating, size): Ind(G[W]) is vertex
-    decomposable and pure with facets of `size` vertices.  An empty W is
-    {∅}, of size 0, and a single vertex is a point, of size 1; neither gets
-    an entry.  Otherwise:
+    The search runs on vertex masks W, memoized (_memo_walk), and gives each
+    state it certifies an entry (shed, dominating, size): Ind(G[W]) is
+    vertex decomposable and pure with facets of `size` vertices.  An empty W
+    is {∅}, of size 0, and a single vertex is a point, of size 1; neither
+    gets an entry.  Otherwise:
       - a disconnected W is the join of its components' complexes, and a
         join of pure vertex decomposable complexes is one, of the summed
         size (Provan-Billera 1980).  Its entry is (-1, -1, size);
@@ -837,10 +849,8 @@ def _vd_certificate(nbr: list[int], face_budget: int) -> dict[int, tuple] | None
     the whole search with None, since every state above it would fail too:
     sizes differ only where the complex is impure, but a missing dominated
     vertex says nothing about Cohen-Macaulayness.  A pure vertex
-    decomposable complex is shellable, so CM over every field.
-
-    States are generators on an explicit stack, so no graph reaches the
-    recursion limit, and their number is held to the face budget.
+    decomposable complex is shellable, so CM over every field.  The states
+    are held to the face budget.
     """
     closed = [m | 1 << v for v, m in enumerate(nbr)]
     steps: dict[int, tuple] = {}
@@ -851,7 +861,8 @@ def _vd_certificate(nbr: list[int], face_budget: int) -> dict[int, tuple] | None
             total = 0
             for part in parts:
                 total += yield part
-            return (-1, -1, total)
+            steps[w] = (-1, -1, total)
+            return total
         for u in _bits(w):
             # the v with N_W[u] ⊆ N[v] are those in N[x] for every x in N_W[u]
             over = w
@@ -862,35 +873,14 @@ def _vd_certificate(nbr: list[int], face_budget: int) -> dict[int, tuple] | None
                 v = (over & -over).bit_length() - 1
                 s = yield w ^ 1 << v
                 t = yield w & ~closed[v]
-                return (v, u, s) if t == s - 1 else None
+                if t != s - 1:
+                    return None
+                steps[w] = (v, u, s)
+                return s
         return None  # no vertex of G[w] is dominated
 
-    root = (1 << len(nbr)) - 1
-    stack = [(root, decompose(root))] if root & root - 1 else []
-    value = None
-    while stack:
-        w, state = stack[-1]
-        try:
-            child = state.send(value)
-        except StopIteration as stop:
-            if stop.value is None:
-                return None
-            steps[w] = stop.value
-            value = stop.value[2]
-            stack.pop()
-            continue
-        if not child & child - 1:  # {∅} or a point
-            value = child.bit_count()
-        elif child in steps:
-            value = steps[child][2]
-        else:
-            if len(steps) + len(stack) >= face_budget:
-                raise SizeBudgetError(
-                    f"{len(steps) + len(stack) + 1} certificate states exceed the budget of "
-                    f"{face_budget}"
-                )
-            stack.append((child, decompose(child)))
-            value = None
+    if _memo_walk((1 << len(nbr)) - 1, decompose, face_budget, "certificate") is None:
+        return None
     return steps
 
 

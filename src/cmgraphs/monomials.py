@@ -4,12 +4,18 @@ The polynomial ring has r*n variables X[a,i] with part index a in [r] and
 element index i in [n].  A squarefree monomial is a bitmask over variable
 slots, slot(a, i) = (a-1)*n + (i-1).  Text syntax is `X[a,i]*X[b,j]`, with
 `1` for the empty product.
+
+Ideals are masks end to end: a MonomialIdeal stores the canonical tuple of
+its generators' masks, and sort_gens, from_masks and minimalize take and
+give masks.  The Monomial dataclass is made only to parse and print, and
+where a caller asks for `gens`.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InputError, ParseError, RangeError
 
@@ -39,15 +45,8 @@ class Monomial:
 
     def variables(self) -> tuple[tuple[int, int], ...]:
         """The (a, i) pairs of the support, sorted by (a, i)."""
-        out = []
-        m = self.mask
-        s = 0
-        while m:
-            if m & 1:
-                out.append((s // self.n + 1, s % self.n + 1))
-            m >>= 1
-            s += 1
-        return tuple(out)
+        n, m = self.n, self.mask
+        return tuple((s // n + 1, s % n + 1) for s in range(m.bit_length()) if m >> s & 1)
 
     def has_variable(self, a: int, i: int) -> bool:
         return bool(self.mask >> slot(a, i, self.n) & 1)
@@ -115,64 +114,57 @@ def parse_monomial(text: str, r: int, n: int) -> Monomial:
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """A squarefree monomial ideal given by its generator list.
+    """A squarefree monomial ideal, stored as the tuple of its generators' masks.
 
     Generators are stored sorted by (degree, support); they are not
-    required to be minimal unless produced by :func:`minimalize`.
+    required to be minimal unless produced by :func:`minimalize`.  `gens`
+    makes the Monomials on first use, for callers that print or compare them.
     """
 
     r: int
     n: int
-    gens: tuple[Monomial, ...]
+    gen_masks: tuple[int, ...]
 
     def __post_init__(self):
-        for g in self.gens:
-            if (g.r, g.n) != (self.r, self.n):
-                raise RangeError("generator lives in a different ring")
+        for m in self.gen_masks:
+            if type(m) is not int or m < 0 or m >> self.r * self.n:
+                raise RangeError(
+                    f"generator mask {m!r} is not a monomial of the ring r={self.r}, n={self.n}"
+                )
 
     def masks(self) -> tuple[int, ...]:
-        return tuple(g.mask for g in self.gens)
+        return self.gen_masks
+
+    @cached_property
+    def gens(self) -> tuple[Monomial, ...]:
+        return tuple(Monomial(self.r, self.n, m) for m in self.gen_masks)
 
     def is_zero(self) -> bool:
-        return not self.gens
+        return not self.gen_masks
 
     def is_unit(self) -> bool:
         """Whether the empty monomial generates, i.e. the ideal is the whole ring."""
-        return any(g.mask == 0 for g in self.gens)
+        return 0 in self.gen_masks
 
     @classmethod
     def from_masks(cls, r: int, n: int, masks) -> MonomialIdeal:
-        return cls(r, n, sort_gens(Monomial(r, n, m) for m in masks))
+        return cls(r, n, sort_gens(masks))
 
 
-def sort_gens(gens) -> tuple[Monomial, ...]:
+def sort_gens(masks) -> tuple[int, ...]:
     # canonical order: degree, then lexicographic on the sorted variable tuple.
     # Two supports of one degree first differ at the lowest slot of their
-    # symmetric difference, and the one holding it comes first; with the ring's
-    # slots reversed that is the highest differing bit.  One ring per call.
-    gens = list(gens)
-    if not gens:
-        return ()
-    width = gens[0].r * gens[0].n
-    return tuple(
-        sorted(gens, key=lambda g: (g.mask.bit_count(), -int(f"{g.mask:0{width}b}"[::-1], 2)))
-    )
+    # symmetric difference, and the one holding it comes first; with the
+    # slots reversed over any common width that is the highest differing bit.
+    masks = list(masks)
+    width = max(masks, default=0).bit_length()
+    return tuple(sorted(masks, key=lambda m: (m.bit_count(), -int(f"{m:0{width}b}"[::-1], 2))))
 
 
-def minimalize(ms, r: int | None = None, n: int | None = None) -> MonomialIdeal:
-    """Drop monomials divisible by another; dedupe; sort canonically.
-
-    Ring dimensions are taken from the monomials themselves; pass r and n
-    explicitly only when ms may be empty.
-    """
-    ms = list(ms)
-    if ms:
-        r, n = ms[0].r, ms[0].n
-    elif r is None or n is None:
-        raise RangeError("minimalize of an empty list needs explicit r and n")
-    masks = sorted({g.mask for g in ms}, key=lambda m: m.bit_count())
+def minimalize(masks, r: int, n: int) -> MonomialIdeal:
+    """Drop masks that contain another; dedupe; sort canonically."""
     kept: list[int] = []
-    for m in masks:
+    for m in sorted(set(masks), key=int.bit_count):
         if not any(k & ~m == 0 for k in kept):
             kept.append(m)
     return MonomialIdeal.from_masks(r, n, kept)
@@ -201,7 +193,7 @@ def parse_ideal_lines(text: str, r: int, n: int) -> MonomialIdeal:
             gens.append(parse_monomial(line, r, n))
         except ParseError as exc:
             raise ParseError(f"line {lineno}: {exc.message}") from None
-    return MonomialIdeal(r, n, sort_gens(gens))
+    return MonomialIdeal.from_masks(r, n, (g.mask for g in gens))
 
 
 def write_ideal(path, ideal: MonomialIdeal) -> None:

@@ -64,7 +64,7 @@ from .homology import (
     is_cohen_macaulay,
     reduced_homology,
 )
-from .monomials import Monomial, minimalize
+from .monomials import minimalize
 from .posets import (
     RelationFamily,
     close_relation,
@@ -165,7 +165,7 @@ def random_squarefree_ideal(rng: random.Random, max_vars: int = 10):
     v = rng.randint(2, max_vars)
     count = rng.randint(1, 6)
     masks = {rng.randrange(1, 1 << v) for _ in range(count)}
-    return minimalize([Monomial(1, v, m) for m in masks], r=1, n=v)
+    return minimalize(masks, 1, v)
 
 
 def random_staircase_slices(rng: random.Random, n: int, r: int) -> list[set]:

@@ -260,7 +260,7 @@ def test_find_order_is_none_exactly_when_no_permutation_passes():
         v = rng.randint(2, 6)
         d = rng.randint(1, v - 1)
         masks = {sum(1 << x for x in rng.sample(range(v), d)) for _ in range(rng.randint(1, 5))}
-        ideal = minimalize([Monomial(1, v, m) for m in masks], r=1, n=v)
+        ideal = minimalize(masks, 1, v)
         result = find_linear_quotients_order(ideal)
         exists = any(lq_reference(p) is None for p in permutations(sorted(masks)))
         assert (result is not None) == exists, sorted(masks)
@@ -366,7 +366,7 @@ def test_linear_quotients_requires_equal_degrees():
     with pytest.raises(DegreeError, match=message):
         check_linear_quotients(iter([v, u]))
     with pytest.raises(DegreeError, match=message):
-        find_linear_quotients_order(minimalize([v, u], r=2, n=2))
+        find_linear_quotients_order(minimalize([v.mask, u.mask], 2, 2))
 
 
 def test_find_order_succeeds_on_sample(sample):
@@ -382,7 +382,7 @@ def test_find_order_returns_none_when_impossible():
     v = Monomial.from_variables(2, 2, [(2, 1), (2, 2)])
     from cmgraphs import minimalize
 
-    assert find_linear_quotients_order(minimalize([u, v])) is None
+    assert find_linear_quotients_order(minimalize([u.mask, v.mask], 2, 2)) is None
 
 
 def test_find_order_budget(sample):

@@ -30,6 +30,7 @@ from cmgraphs import (
     load_graph,
 )
 from cmgraphs.graphs import build_complete_multipartite, cycle_graph, graph_to_dict
+from cmgraphs.monomials import slot
 from cmgraphs.posets import Relation
 from cmgraphs.verification import random_family
 
@@ -67,6 +68,40 @@ def test_graph_rejects_bad_edges():
         MultipartiteGraph.from_edges(2, 2, [((1, 1), (3, 1))])
     with pytest.raises(RangeError):
         MultipartiteGraph.from_edges(2, 2, [((1, 0), (2, 1))])
+
+
+@pytest.mark.parametrize(
+    "r, n, edges",
+    [
+        (2.0, 2, ()),
+        (2, 2.0, ()),
+        (2, True, ()),
+        (2, 2, (((1, 1.0), (2, 1)),)),
+        (2, 2, (((1, True), (2, 1)),)),
+        (2, 2, (((1, 1), ("2", 1)),)),
+    ],
+    ids=["r-float", "n-float", "n-bool", "coord-float", "coord-bool", "coord-str"],
+)
+def test_graph_rejects_sizes_and_coordinates_that_are_not_ints(r, n, edges):
+    with pytest.raises(RangeError):
+        MultipartiteGraph(r, n, frozenset(edges))
+
+
+def test_nbr_is_the_adjacency_in_slot_layout(sample):
+    for g in (graph_of_family(sample), cycle_graph(5), build_complete_multipartite(2, 4)):
+        verts = g.vertices()
+        assert len(g.nbr) == len(verts) == g.r * g.n
+        for u, (a, i) in enumerate(verts):
+            assert u == slot(a, i, g.n)
+            for v, (b, j) in enumerate(verts):
+                edge = ((a, i), (b, j)) in g.edges or ((b, j), (a, i)) in g.edges
+                assert bool(g.nbr[u] >> v & 1) == edge == g.has_edge((a, i), (b, j))
+    g = graph_of_family(sample)
+    assert g.has_edge((2, 1), (3, 1))
+    assert not g.has_edge((1, 4), (3, 1))  # off the grid, not X[2,1] in slot 3
+    assert g.part_pair_edges(1, 3) == {(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)}
+    with pytest.raises(PartsError):
+        g.part_pair_edges(0, 3)
 
 
 def test_sample_graph_matches_frozen_edges(sample):

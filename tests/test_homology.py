@@ -50,6 +50,7 @@ from cmgraphs.homology import (
     _homology_of_faces,
     _join_ranks,
     _lane_width,
+    _memo_walk,
     _rank_gf2,
     _rank_gfp,
     _rank_rational,
@@ -521,6 +522,35 @@ def test_graph_walk_on_a_600_vertex_path_needs_no_recursion():
     assert _cm_by_graph(_graph_masks(4, [(0, 1), (1, 2), (2, 3)]), GF2, 64) is True
     with pytest.raises(SizeBudgetError, match="link states exceed the budget of 100"):
         _cm_by_graph(path, GF2, 100)
+
+
+def test_memo_walk_memoizes_states_and_stops_at_the_first_failure():
+    # a walk that counts vertices by removing the lowest one at a time; the
+    # root also asks for the count without its highest vertex
+    visits = []
+
+    def count(w):
+        visits.append(w)
+        low = w & -w
+        value = (yield w ^ low) + 1
+        if w == 0b1111:
+            assert (yield w ^ 1 << 3) == 3
+        return value
+
+    memo = _memo_walk(0b1111, count, 10, "test")
+    assert memo == {0b1111: 4, 0b1110: 3, 0b1100: 2, 0b0111: 3, 0b0110: 2}
+    assert len(visits) == len(memo)  # each state once; masks of one vertex are leaves
+    assert _memo_walk(0b1000, count, 1, "test") == {}
+
+    def fail_at_two(w):
+        value = (yield w ^ w & -w) + 1
+        return None if value == 2 else value
+
+    assert _memo_walk(0b1111, fail_at_two, 10, "test") is None
+    # root, 0b1110 and 0b1100 are three states: a budget of two stops the third
+    with pytest.raises(SizeBudgetError, match="3 test states exceed the budget of 2"):
+        _memo_walk(0b1111, fail_at_two, 2, "test")
+    assert _memo_walk(0b1111, fail_at_two, 3, "test") is None
 
 
 def test_non_flag_complexes_go_to_the_face_walk(monkeypatch):

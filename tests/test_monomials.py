@@ -9,6 +9,12 @@ from cmgraphs import (
     MonomialIdeal,
     ParseError,
     RangeError,
+    build_hr,
+    dual_hr_fast,
+    dual_ideal_bruteforce,
+    edge_ideal,
+    graph_of_family,
+    grid_vertices,
     minimalize,
     parse_monomial,
     read_ideal,
@@ -86,9 +92,9 @@ def test_sort_is_degree_then_variable_sequence():
     a = mono(2, 3, (1, 1), (2, 3))
     b = mono(2, 3, (1, 2), (1, 3))
     assert a.mask > b.mask
-    assert sort_gens([b, a]) == (a, b)
+    assert sort_gens([b.mask, a.mask]) == (a.mask, b.mask)
     c = mono(2, 3, (1, 1))
-    assert sort_gens([a, b, c]) == (c, a, b)
+    assert sort_gens([a.mask, b.mask, c.mask]) == (c.mask, a.mask, b.mask)
 
 
 def test_minimalize_drops_multiples():
@@ -98,29 +104,62 @@ def test_minimalize_drops_multiples():
         mono(2, 2, (2, 2)),
         mono(2, 2, (2, 2)),
     ]
-    ideal = minimalize(gens)
+    ideal = minimalize([g.mask for g in gens], 2, 2)
     assert ideal.gens == (mono(2, 2, (1, 1)), mono(2, 2, (2, 2)))
+    assert ideal.masks() == (0b0001, 0b1000)
 
 
 def test_minimalize_unit_and_zero():
-    unit = minimalize([Monomial(1, 2, 0), mono(1, 2, (1, 1))])
+    unit = minimalize([0, mono(1, 2, (1, 1)).mask], 1, 2)
     assert unit.is_unit()
     assert unit.gens == (Monomial(1, 2, 0),)
-    zero = minimalize([], r=1, n=2)
+    zero = minimalize([], 1, 2)
     assert zero.is_zero()
-    with pytest.raises(RangeError):
-        minimalize([])  # ring dimensions unknown
 
 
 def test_ideal_membership():
-    ideal = MonomialIdeal(2, 2, (mono(2, 2, (1, 1)), mono(2, 2, (2, 1), (2, 2))))
+    ideal = MonomialIdeal(2, 2, (mono(2, 2, (1, 1)).mask, mono(2, 2, (2, 1), (2, 2)).mask))
     assert contains_monomial(ideal, mono(2, 2, (1, 1), (2, 2)))
     assert not contains_monomial(ideal, mono(2, 2, (2, 2)))
     assert not contains_monomial(ideal, Monomial(2, 2, 0))
 
 
+@pytest.mark.parametrize(
+    "mask",
+    [1.0, True, "1", None, -1, 1 << 4],
+    ids=["float", "bool", "str", "none", "negative", "wide"],
+)
+def test_ideal_rejects_a_mask_outside_the_ring(mask):
+    # r = n = 2: the monomials are the ints in [0, 2^4)
+    with pytest.raises(RangeError, match="is not a monomial of the ring r=2, n=2"):
+        MonomialIdeal(2, 2, (0b0001, mask))
+
+
+def test_ideal_constructions_make_no_monomial(monkeypatch, sample):
+    # ideals are masks end to end: a Monomial is made only when gens is read
+    made = []
+    post_init = Monomial.__post_init__
+
+    def counting(self):
+        made.append(self.mask)
+        post_init(self)
+
+    monkeypatch.setattr(Monomial, "__post_init__", counting)
+    hr = build_hr(sample)
+    fast = dual_hr_fast(sample)
+    brute = dual_ideal_bruteforce(hr, grid_vertices(sample.r, sample.n))
+    edges = edge_ideal(graph_of_family(sample))
+    unit = minimalize([0b11, 0b01, 0], 1, 2)
+    assert made == []
+    assert set(fast.masks()) == set(brute.masks()) == set(edges.masks())
+    assert unit.masks() == (0,)
+    assert len(hr.gens) == 15
+    assert made == list(hr.masks())
+    assert hr.gens is hr.gens  # made once
+
+
 def test_ideal_file_roundtrip(tmp_path):
-    ideal = minimalize([mono(2, 3, (1, 1), (2, 2)), mono(2, 3, (1, 3))])
+    ideal = minimalize([mono(2, 3, (1, 1), (2, 2)).mask, mono(2, 3, (1, 3)).mask], 2, 3)
     path = tmp_path / "ideal.txt"
     write_ideal(path, ideal)
     text = path.read_text()
