@@ -27,7 +27,6 @@ from .duality import (
     grid_vertices,
 )
 from .errors import (
-    BudgetError,
     ChainError,
     CmgraphsError,
     DegreeError,

@@ -37,6 +37,18 @@ A chain C <= j not below k with such a quotient has l_i(C) > l_i(k), so
 l_i(j) > l_i(k) and l_h(j) >= l_h(k) at every other h: j lies above k.
 Hence the extension that places the down-set of j and the chains
 below k first, then k, fails at k (witness_extension).
+
+A quadratic ideal, the edge ideal of its support graph G, has linear
+quotients in some order iff the complement of G is chordal (Fröberg 1990;
+Herzog-Hibi-Zheng 2004).  With q(v) the position of v in a perfect
+elimination order of the complement, order the edges by (min q, max q).
+Take an edge e = {i, j} and an earlier edge f = {a, b} disjoint from it,
+with a the lower endpoint of f.  Then q(a) < q(i), q(j).  If a is not
+adjacent to i (or j) in the complement, {a, i} is an edge of G placed
+before e, and its quotient x_a divides x_a*x_b.  Otherwise i and j are
+both later complement-neighbours of a, so they are adjacent in the
+complement, which contradicts e being an edge.  An earlier edge that meets
+e has a one-variable quotient itself.
 """
 
 from __future__ import annotations
@@ -45,13 +57,8 @@ import functools
 import random
 from dataclasses import dataclass
 
-from .errors import (
-    BudgetError,
-    ChainError,
-    DegreeError,
-    InternalMismatchError,
-    RangeError,
-)
+from .errors import ChainError, DegreeError, InternalMismatchError, RangeError
+from .graphs import _complement, _perfect_elimination_order
 from .monomials import Monomial, MonomialIdeal
 from .posets import (
     RelationFamily,
@@ -364,62 +371,38 @@ def witness_extension(chains, j: int, k: int) -> ChainOrder:
     )
 
 
-def find_linear_quotients_order(
-    ideal: MonomialIdeal, state_budget: int = 1 << 22
-) -> tuple[Monomial, ...] | None:
-    """Search for a generator ordering with linear quotients.
+def find_linear_quotients_order(ideal: MonomialIdeal) -> tuple[Monomial, ...] | None:
+    """A generator ordering with linear quotients, or None when there is none.
 
-    Backtracking over placements, memoized on the set of already-placed
-    generators: whether a generator may be appended depends only on that set,
-    so a placed set that once failed to complete always fails.  Returns a
-    passing order, or None when the search space is exhausted.  A None is
-    only "no order exists", never "gave up": exceeding the state budget
-    raises instead.
+    Quadratic ideals only: the edges of the support graph go by a perfect
+    elimination order of its complement (see the module docstring), and
+    check_linear_quotients confirms the result.
     """
     masks = ideal.masks()
     degs = {mask.bit_count() for mask in masks}
     if len(degs) > 1:
         raise DegreeError(f"generators are not equigenerated: degrees {sorted(degs)}")
-    m = len(masks)
-    if m <= 1:
+    if len(masks) <= 1:
         return ideal.gens
-    union, columns = _columns(masks)
-    full = (1 << m) - 1
-    dead: set[int] = set()
-    states_seen = 0
-
-    def search(placed: int, order: list[int]) -> bool:
-        nonlocal states_seen
-        if placed == full:
-            return True
-        if placed in dead:
-            return False
-        states_seen += 1
-        if states_seen > state_budget:
-            raise BudgetError(
-                f"linear-quotients search exceeded {state_budget} states"
-            )
-        for cand in range(m):
-            if placed >> cand & 1:
-                continue
-            if not _blocked(columns, placed, placed, union & ~masks[cand]):
-                order.append(cand)
-                if search(placed | 1 << cand, order):
-                    return True
-                order.pop()
-        dead.add(placed)
-        return False
-
-    order: list[int] = []
-    if search(0, order):
-        found = tuple(ideal.gens[k] for k in order)
-        verdict = check_linear_quotients(found)
-        if not verdict.passed:
-            raise InternalMismatchError(
-                f"search returned an order failing its own check at {verdict.witness}"
-            )
-        return found
-    return None
+    (degree,) = degs
+    if degree != 2:
+        raise DegreeError(f"the ideal must be quadratic, got degree {degree}")
+    support = [0] * (ideal.r * ideal.n)  # each slot's row holds its neighbours and itself
+    for mask in masks:
+        support[(mask & -mask).bit_length() - 1] |= mask
+        support[mask.bit_length() - 1] |= mask
+    peo = _perfect_elimination_order(_complement(support))
+    if peo is None:
+        return None
+    q = {v: k for k, v in enumerate(peo)}
+    keys = [sorted((q[(m & -m).bit_length() - 1], q[m.bit_length() - 1])) for m in masks]
+    found = tuple(ideal.gens[k] for k in sorted(range(len(masks)), key=keys.__getitem__))
+    verdict = check_linear_quotients(found)
+    if not verdict.passed:
+        raise InternalMismatchError(
+            f"perfect-elimination order fails linear quotients at {verdict.witness}"
+        )
+    return found
 
 
 def gamma_chain(family: RelationFamily, fset) -> tuple[int, ...]:

@@ -24,7 +24,7 @@ from .chains import (
     linear_extension,
 )
 from .duality import dual_hr_fast, dual_ideal_bruteforce, grid_vertices
-from .errors import BudgetError, InputError, InternalMismatchError, SizeBudgetError
+from .errors import InputError, InternalMismatchError, SizeBudgetError
 from .graphs import (
     check_herzog_hibi,
     check_theorem1,
@@ -409,10 +409,7 @@ def main(argv=None) -> int:
         # the reader went away (e.g. `| head`); silence the exit-time flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (SizeBudgetError, BudgetError) as exc:
+    except (InputError, SizeBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalMismatchError as exc:

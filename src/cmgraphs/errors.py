@@ -1,9 +1,9 @@
 """Exception hierarchy with stable machine-readable codes.
 
 Codes surface in CLI error messages so scripts can match on them.  The CLI
-maps InputError to exit code 2 and InternalMismatchError to 3; a failed
-mathematical condition is not an exception at all, the CLI reports it and
-exits 1.
+maps InputError and SizeBudgetError, the one budget error, to exit code 2
+and InternalMismatchError to 3; a failed mathematical condition is not an
+exception at all, the CLI reports it and exits 1.
 """
 
 
@@ -66,15 +66,9 @@ class OverflowInputError(InputError):
 
 
 class SizeBudgetError(CmgraphsError):
-    """Enumeration would exceed the configured size budget."""
+    """Enumeration would exceed its size budget: the one budget error."""
 
     code = "E_SIZE"
-
-
-class BudgetError(CmgraphsError):
-    """Search exceeded its state budget; the result is inconclusive."""
-
-    code = "E_BUDGET"
 
 
 class InternalMismatchError(CmgraphsError):

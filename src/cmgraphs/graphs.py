@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
-import networkx as nx
-
 from .duality import SimplicialComplex, complex_of_ideal, grid_vertices
 from .errors import (
     InternalMismatchError,
@@ -195,13 +193,38 @@ def independence_complex(graph: MultipartiteGraph) -> SimplicialComplex:
     return complex_of_ideal(edge_ideal(graph), grid_vertices(graph.r, graph.n))
 
 
+def _perfect_elimination_order(nbr) -> list[int] | None:
+    """A perfect elimination order of the graph `nbr`, or None if it is not chordal.
+
+    Maximum cardinality search visits the lowest unvisited vertex with the
+    most visited neighbours; the graph is chordal iff the reversed visit order
+    eliminates perfectly (Tarjan-Yannakakis 1984), checked as v is visited:
+    with A its visited neighbours and u the last visited of A, A - u ⊆ N(u).
+    """
+    full = (1 << len(nbr)) - 1
+    visits: list[int] = []
+    visited = 0
+    for _ in nbr:
+        v = max(members(full & ~visited), key=lambda w: (nbr[w - 1] & visited).bit_count()) - 1
+        earlier = nbr[v] & visited
+        if earlier:
+            u = next(w for w in reversed(visits) if earlier >> w & 1)
+            if earlier & ~nbr[u] & ~(1 << u):
+                return None
+        visited |= 1 << v
+        visits.append(v)
+    return visits[::-1]
+
+
+def _complement(nbr) -> list[int]:
+    """Neighbourhood masks of the complement graph; a row may hold its own bit."""
+    full = (1 << len(nbr)) - 1
+    return [full & ~row & ~(1 << v) for v, row in enumerate(nbr)]
+
+
 def complement_is_chordal(graph: MultipartiteGraph) -> bool:
     """Chordality of the complement over the FULL grid, intra-level pairs included."""
-    verts = grid_vertices(graph.r, graph.n)
-    g = nx.empty_graph(verts)
-    for u, row in enumerate(graph.nbr):
-        g.add_edges_from((verts[u], v) for k, v in enumerate(verts) if k > u and not row >> k & 1)
-    return nx.is_chordal(g)
+    return _perfect_elimination_order(_complement(graph.nbr)) is not None
 
 
 def edge_count_expected(n: int, r: int) -> int:

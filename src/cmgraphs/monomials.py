@@ -116,9 +116,9 @@ def parse_monomial(text: str, r: int, n: int) -> Monomial:
 class MonomialIdeal:
     """A squarefree monomial ideal, stored as the tuple of its generators' masks.
 
-    Generators are stored sorted by (degree, support); they are not
-    required to be minimal unless produced by :func:`minimalize`.  `gens`
-    makes the Monomials on first use, for callers that print or compare them.
+    Generators are stored once each, sorted by (degree, support), however
+    the ideal is built; they are minimal only if made by :func:`minimalize`.
+    `gens` makes the Monomials on first use, for callers that print them.
     """
 
     r: int
@@ -126,11 +126,13 @@ class MonomialIdeal:
     gen_masks: tuple[int, ...]
 
     def __post_init__(self):
-        for m in self.gen_masks:
+        masks = tuple(self.gen_masks)
+        for m in masks:
             if type(m) is not int or m < 0 or m >> self.r * self.n:
                 raise RangeError(
                     f"generator mask {m!r} is not a monomial of the ring r={self.r}, n={self.n}"
                 )
+        object.__setattr__(self, "gen_masks", sort_gens(set(masks)))
 
     def masks(self) -> tuple[int, ...]:
         return self.gen_masks
@@ -148,7 +150,7 @@ class MonomialIdeal:
 
     @classmethod
     def from_masks(cls, r: int, n: int, masks) -> MonomialIdeal:
-        return cls(r, n, sort_gens(masks))
+        return cls(r, n, masks)
 
 
 def sort_gens(masks) -> tuple[int, ...]:

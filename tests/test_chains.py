@@ -6,7 +6,6 @@ from itertools import permutations
 import pytest
 
 from cmgraphs import (
-    BudgetError,
     ChainError,
     DegreeError,
     Monomial,
@@ -17,10 +16,13 @@ from cmgraphs import (
     chain_monomial,
     check_all_extensions,
     check_linear_quotients,
+    complement_is_chordal,
+    edge_ideal,
     enumerate_chains,
     find_linear_quotients_order,
     gamma_certificate,
     gamma_chain,
+    graph_of_family,
     linear_extension,
     minimalize,
     random_linear_extension,
@@ -258,8 +260,7 @@ def test_find_order_is_none_exactly_when_no_permutation_passes():
     found = 0
     for _ in range(150):
         v = rng.randint(2, 6)
-        d = rng.randint(1, v - 1)
-        masks = {sum(1 << x for x in rng.sample(range(v), d)) for _ in range(rng.randint(1, 5))}
+        masks = {sum(1 << x for x in rng.sample(range(v), 2)) for _ in range(rng.randint(1, 5))}
         ideal = minimalize(masks, 1, v)
         result = find_linear_quotients_order(ideal)
         exists = any(lq_reference(p) is None for p in permutations(sorted(masks)))
@@ -369,12 +370,17 @@ def test_linear_quotients_requires_equal_degrees():
         find_linear_quotients_order(minimalize([v.mask, u.mask], 2, 2))
 
 
-def test_find_order_succeeds_on_sample(sample):
-    ideal = build_hr(sample)
-    order = find_linear_quotients_order(ideal)
-    assert order is not None
-    assert check_linear_quotients(order).passed
-    assert sorted(g.mask for g in order) == sorted(g.mask for g in ideal.gens)
+def test_find_order_on_sample_ideal_and_graph(sample):
+    # the sample's chain ideal is generated in degree n(r-1) = 6
+    with pytest.raises(DegreeError, match="got degree 6"):
+        find_linear_quotients_order(build_hr(sample))
+    with pytest.raises(DegreeError, match="got degree 1"):
+        find_linear_quotients_order(minimalize([0b01, 0b10], 1, 2))
+    # the sample graph's complement is not chordal, so its edge ideal has
+    # no linear resolution and no order with linear quotients
+    g = graph_of_family(sample)
+    assert not complement_is_chordal(g)
+    assert find_linear_quotients_order(edge_ideal(g)) is None
 
 
 def test_find_order_returns_none_when_impossible():
@@ -383,11 +389,6 @@ def test_find_order_returns_none_when_impossible():
     from cmgraphs import minimalize
 
     assert find_linear_quotients_order(minimalize([u.mask, v.mask], 2, 2)) is None
-
-
-def test_find_order_budget(sample):
-    with pytest.raises(BudgetError):
-        find_linear_quotients_order(build_hr(sample), state_budget=3)
 
 
 def test_gamma_chain_single_variable(sample):

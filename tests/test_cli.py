@@ -428,13 +428,10 @@ def test_graph_cm_certifies_the_r7_family_graph_without_the_graph_walk(capsys, m
 
 
 def test_import_leaves_numpy_unloaded():
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, cmgraphs.cli; print('numpy' in sys.modules)"],
-        capture_output=True,
-        text=True,
-    )
+    code = "import sys, cmgraphs.cli; print('numpy' in sys.modules, 'networkx' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "False False\n"
 
 
 def test_console_script_entry_point(sample_path):

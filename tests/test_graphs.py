@@ -4,6 +4,7 @@ import json
 import math
 import random
 
+import networkx
 import pytest
 
 from cmgraphs import (
@@ -16,12 +17,14 @@ from cmgraphs import (
     build_hr,
     check_family_conditions,
     check_herzog_hibi,
+    check_linear_quotients,
     check_theorem1,
     check_theorem2,
     complement_is_chordal,
     dual_ideal_bruteforce,
     edge_count_expected,
     edge_ideal,
+    find_linear_quotients_order,
     graph_of_family,
     graph_to_dot,
     grid_vertices,
@@ -272,6 +275,51 @@ def test_complement_chordality_certificate():
     # the complement of a 5-cycle is again a 5-cycle
     assert complement_is_chordal(cycle_graph(4)) is True
     assert complement_is_chordal(cycle_graph(5)) is False
+
+
+def random_multipartite(rng):
+    """A random r-partite graph with r <= 4 and n <= 3, of random edge density."""
+    r, n = rng.randint(2, 4), rng.randint(1, 3)
+    density = rng.random()
+    edges = [
+        ((a, i), (b, j))
+        for a in range(1, r + 1)
+        for b in range(a + 1, r + 1)
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+        if rng.random() < density
+    ]
+    return MultipartiteGraph.from_edges(r, n, edges)
+
+
+def oracle_graphs():
+    rng = random.Random(1990)
+    return [cycle_graph(k) for k in range(4, 8)] + [random_multipartite(rng) for _ in range(300)]
+
+
+def nx_complement_is_chordal(graph):
+    """networkx's chordality test on the complement over the full grid."""
+    verts = grid_vertices(graph.r, graph.n)
+    full = networkx.complete_graph(verts)
+    full.remove_edges_from(graph.edges)
+    return networkx.is_chordal(full)
+
+
+def test_complement_chordality_matches_networkx():
+    graphs = oracle_graphs()
+    verdicts = [complement_is_chordal(g) for g in graphs]
+    assert verdicts == [nx_complement_is_chordal(g) for g in graphs]
+    assert 30 < sum(verdicts) < 270
+
+
+def test_an_order_with_linear_quotients_exists_exactly_for_co_chordal_graphs():
+    for g in oracle_graphs():
+        ideal = edge_ideal(g)
+        order = find_linear_quotients_order(ideal)
+        assert (order is not None) == complement_is_chordal(g)
+        if order is not None:
+            assert check_linear_quotients(order).passed
+            assert sorted(order) == sorted(ideal.gens)
 
 
 def test_independence_complex_facets():

@@ -10,12 +10,15 @@ from cmgraphs import (
     ParseError,
     RangeError,
     build_hr,
+    check_linear_quotients,
     dual_hr_fast,
     dual_ideal_bruteforce,
     edge_ideal,
+    find_linear_quotients_order,
     graph_of_family,
     grid_vertices,
     minimalize,
+    parse_ideal_lines,
     parse_monomial,
     read_ideal,
     write_ideal,
@@ -133,6 +136,16 @@ def test_ideal_rejects_a_mask_outside_the_ring(mask):
     # r = n = 2: the monomials are the ints in [0, 2^4)
     with pytest.raises(RangeError, match="is not a monomial of the ring r=2, n=2"):
         MonomialIdeal(2, 2, (0b0001, mask))
+
+
+def test_an_ideal_stores_one_canonical_tuple_however_built():
+    assert MonomialIdeal(2, 2, (0b10, 0b01)) == minimalize([0b01, 0b10], 2, 2)
+    assert MonomialIdeal(2, 2, (0b10, 0b01, 0b10)).masks() == (0b01, 0b10)
+    # a repeated line is one generator, and a principal ideal has linear quotients
+    ideal = parse_ideal_lines("X[1,1]*X[2,1]\nX[1,1]*X[2,1]\n", 2, 1)
+    assert ideal.masks() == (0b11,)
+    assert check_linear_quotients(ideal.gens).passed
+    assert find_linear_quotients_order(ideal) == ideal.gens
 
 
 def test_ideal_constructions_make_no_monomial(monkeypatch, sample):
