@@ -138,7 +138,7 @@ def build_hr(family: RelationFamily) -> MonomialIdeal:
         raise InternalMismatchError(
             "chain -> monomial map failed to be injective; generators collide"
         )
-    return MonomialIdeal.from_masks(r, n, masks)
+    return MonomialIdeal(r, n, masks)
 
 
 def chain_compare(chain_j, chain_i) -> str:

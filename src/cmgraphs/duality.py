@@ -319,4 +319,4 @@ def dual_hr_fast(family: RelationFamily) -> MonomialIdeal:
     """
     n, r = family.n, family.r
     masks = [1 << slot(s, i, n) | 1 << slot(t, j, n) for s, t, i, j in reach_pairs(family)]
-    return MonomialIdeal.from_masks(r, n, masks)
+    return MonomialIdeal(r, n, masks)

@@ -185,7 +185,7 @@ def edge_ideal(graph: MultipartiteGraph) -> MonomialIdeal:
             low = row & -row
             masks.append(1 << u | low)
             row ^= low
-    return MonomialIdeal.from_masks(graph.r, graph.n, masks)
+    return MonomialIdeal(graph.r, graph.n, masks)
 
 
 def independence_complex(graph: MultipartiteGraph) -> SimplicialComplex:

@@ -32,46 +32,33 @@ so no vertex count bounds a complex; only the face budget does.
 The Cohen-Macaulay verdict follows Reisner's local-homology criterion: a
 complex is CM over the field iff for every face, every reduced homology rank
 of its link vanishes strictly below the link's dimension.  Two walks apply
-it, and is_cohen_macaulay picks one from the complex itself.  A flag
-complex first gets a chance at a certificate that needs no homology.
-
-The certificate (_vd_certificate) is a vertex decomposition of Ind(G) by
-dominated vertices, memoized on vertex masks W like the graph walk: a
-disconnected W is a join, whose pure sizes add, and a connected W sheds a
-vertex v with N_W[u] ⊆ N_W[v] for some other u, a shedding vertex
-(Woodroofe 2009), so that Ind(G[W]) is pure of size s exactly when
-Ind(G[W - v]) is pure of size s and Ind(G[W - N[v]]) of size s - 1.  A pure
-vertex decomposable complex is shellable, so CM over every field
-(Provan-Billera 1980).  A separate checker (_replay_vd) verifies every
-state of a certificate before it is used, and the certified size must be
-the size of every listed facet; a mismatch raises InternalMismatchError.
-Whatever the certificate leaves open (C5, which is CM with no dominated
-vertex, and every complex that is not CM) goes to the graph walk below.
-On a shared 2-CPU host it certified 24 of the 25 CM graphs of the
-benchmark's cm workloads at each of seeds 1-5, all but C5; certificate and
-replay took 8-11 ms for a seed's 31 graphs, the graph walk 33-49 ms
-(single runs).  On the r = n = 7 family graph of the test data (49
-vertices, 15549 facets) is_cohen_macaulay took 0.05-0.08 s, against
-6.1-6.3 s through the graph walk.
+it, and is_cohen_macaulay picks one from the complex itself.
 
 The graph walk (_cm_by_graph) runs on every flag complex that covers its
 vertices: such a complex is Ind(G), G the graph of the vertex pairs that
 share no facet, and the link of a face F is Ind(G[V - N[F]]), so a link is
 named by one vertex mask W and the walk is memoized on the distinct W, not
-on faces.  Each simplification it makes is exact over every field.  A
-disconnected W is a join of its components' complexes, and a join is CM
-exactly when every factor is; an isolated vertex is such a component, so
-Ind(G[W]) is a cone over it.  Since the links of nonempty faces are links
-in vertex links, the complex is CM iff every vertex link is CM and the
-complex itself has no homology below its dimension; CM complexes are pure,
-so vertex links of different dimensions end the walk at once.  That
-homology is taken only after Engström's fold lemma (2009) has removed every
-v with N(u) ⊆ N(v) for some other u, which keeps the homotopy type; a
-folded graph with an isolated vertex is a cone, so acyclic, and one that
-splits gets the ranks of a join from its components by the Künneth formula.
-Only the fold-free components reach a boundary rank, through the same face
-lists and clearing as reduced_homology, so the face budget and the
-negative-rank guard hold there too.
+on faces.  Each step it takes is exact over every field.  A disconnected W
+is a join of its components' complexes, and a join is CM exactly when every
+factor is; an isolated vertex is such a component, so Ind(G[W]) is a cone
+over it.  A connected W sheds a vertex v that some other u dominates,
+N_W[u] ⊆ N_W[v]: Ind(G[W]) is CM of pure size s exactly when Ind(G[W - v])
+is CM of size s and Ind(G[W - N[v]]) of size s - 1 (the proof is in the
+_cm_by_graph docstring; a shedding vertex in Woodroofe's sense, 2009).  A W
+with no dominated vertex is decided by its vertex links: since the links of
+nonempty faces are links in vertex links, the complex is CM iff every
+vertex link is CM and the complex itself has no homology below its
+dimension; CM complexes are pure, so vertex links of different dimensions
+end the walk at once.  That homology is taken only after Engström's fold
+lemma (2009) has removed every v with N(u) ⊆ N(v) for some other u, which
+keeps the homotopy type; a folded graph with an isolated vertex is a cone,
+so acyclic, and one that splits gets the ranks of a join from its
+components by the Künneth formula.  Only the fold-free components reach a
+boundary rank, through the same face lists and clearing as
+reduced_homology, so the face budget and the negative-rank guard hold there
+too.  Shedding and joins alone decide the paper's constructions and the
+r = n = 7 family graph of the test data (49 vertices, 15549 facets), with
+no boundary rank; C5, CM with no dominated vertex, reaches the homology.
 
 The face walk (_cm_by_faces) takes every other complex: non-flag ones, {∅},
 and those with a vertex in no facet.  It also gives the witness of every
@@ -483,8 +470,15 @@ def _homology_of_faces(by_dim: list[list[int]], field: FieldChoice) -> HomologyP
 
 
 def _face_to_mask(cx: SimplicialComplex, face) -> int:
-    """Accept a bitmask or an iterable of vertex labels."""
+    """Accept a bitmask over the complex's vertices or an iterable of vertex labels.
+
+    A bool is not a bitmask, and neither is an int outside [0, 2^V) for V
+    vertices; both raise RangeError.
+    """
     if isinstance(face, int):
+        size = len(cx.vertices)
+        if type(face) is bool or face < 0 or face >> size:
+            raise RangeError(f"face mask {face!r} is not a set of the complex's {size} vertices")
         return face
     mask = 0
     for label in face:
@@ -722,7 +716,7 @@ def _join_ranks(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return out
 
 
-def _memo_walk(root: int, visit, budget: int, what: str) -> dict[int, int] | None:
+def _memo_walk(root: int, visit, budget: int) -> dict[int, int] | None:
     """The values of a memoized walk over vertex masks, or None if one state fails.
 
     visit(w) is a generator: it yields the masks whose values it needs, is
@@ -730,8 +724,8 @@ def _memo_walk(root: int, visit, budget: int, what: str) -> dict[int, int] | Non
     the whole walk with None.  A mask of at most one vertex is a leaf whose
     value is its vertex count; every other mask is visited once and
     memoized.  The states run on an explicit stack, so no walk reaches the
-    recursion limit, and the states memoized or on the stack are held to
-    the budget; the SizeBudgetError names them `what` states.
+    recursion limit, and the link states memoized or on the stack are held
+    to the budget.
     """
     memo: dict[int, int] = {}
     stack = [(root, visit(root))] if root & root - 1 else []
@@ -753,25 +747,29 @@ def _memo_walk(root: int, visit, budget: int, what: str) -> dict[int, int] | Non
         else:
             if len(memo) + len(stack) >= budget:
                 raise SizeBudgetError(
-                    f"{len(memo) + len(stack) + 1} {what} states exceed the budget of {budget}"
+                    f"{len(memo) + len(stack) + 1} link states exceed the budget of {budget}"
                 )
             stack.append((child, visit(child)))
             value = None
     return memo
 
 
-def _cm_by_graph(nbr: list[int], field: FieldChoice, face_budget: int) -> bool:
-    """Whether Ind(G) is Cohen-Macaulay over the field, for G given by neighbourhood masks.
+def _cm_by_graph(nbr: list[int], field: FieldChoice, face_budget: int) -> int | None:
+    """The pure size α of Ind(G) if it is Cohen-Macaulay over the field, else None.
 
-    The walk runs on vertex masks W, memoized (_memo_walk): the link of a
-    face F in Ind(G) is Ind(G[V - N[F]]), so every link is Ind(G[W]) for
-    some W.  The verdict at W, with the independence number α of G[W] when
-    it is CM:
+    G is given by neighbourhood masks.  The walk runs on vertex masks W,
+    memoized (_memo_walk): the link of a face F in Ind(G) is
+    Ind(G[V - N[F]]), so every link is Ind(G[W]) for some W.  The verdict at
+    W, with the independence number α of G[W] when it is CM:
       - W empty or one vertex: {∅} or a point, CM with α = 0 or 1;
       - a disconnected W is a join of its components' complexes, CM exactly
         when every factor is; α is the sum.  An isolated vertex is a
         component of its own, a point, so Ind(G[W]) is a cone over it and
         the rest decides;
+      - a connected W with a dominated vertex v, N_W[u] ⊆ N_W[v] for some
+        other u (the lowest u, then the lowest v), sheds it: W is CM of size
+        s exactly when W - v is CM of size s and W - N[v] is CM of size
+        s - 1 (proof below);
       - otherwise every vertex link W - N[v] must be CM with one common α,
         s (a CM complex is pure), α(W) = s + 1, and H̃_d(Ind(G[W])) must
         vanish for every d < s, Reisner's condition at the empty face.
@@ -781,6 +779,26 @@ def _cm_by_graph(nbr: list[int], field: FieldChoice, face_budget: int) -> bool:
     component's ranks come from its faces through _faces_by_dim and
     _homology_of_faces.  A W that is not CM fails every W above it, so it
     ends the walk.  The states are held to the face budget.
+
+    The shed step is exact.  Let u ≠ v in W with N_W[u] ⊆ N_W[v], and write
+    Δ = Ind(G[W]), D = Ind(G[W - v]) and L = Ind(G[W - N[v]]); then
+    Δ = D ∪ v*L and L ⊆ D.
+      (⇐) Let D be CM of dimension d and L CM of dimension d - 1, and F a
+      face of Δ.  If v ∈ F, lk_Δ F = lk_L(F - v).  If F ∪ v ∉ Δ,
+      lk_Δ F = lk_D F.  Otherwise lk_Δ F = lk_D F ∪ v*lk_L F, a union along
+      lk_L F, and Mayer-Vietoris kills H̃_i for i < dim lk_D F.  So Δ is CM.
+      (⇒) Let Δ be CM.  L is the link of v, so CM.  A facet I that contains
+      v gives the independent set I - v + u, so the facets of D are exactly
+      those of Δ that miss v: D is pure of Δ's dimension and L has one
+      vertex fewer per facet.  Every σ ∈ L has σ ∪ u ∈ D, so L → D factors
+      through the cone from u, and Mayer-Vietoris makes H̃_i(D) → H̃_i(Δ)
+      injective: H̃_i(D) = 0 below dim D.  For a face F of D, lk_D F = lk_Δ F
+      if v ∈ N[F]; otherwise u and v both lie outside N[F], u still
+      dominates v in G[W - N[F]], whose independence complex is lk_Δ F, and
+      the same argument applies to that CM link.  So D is CM.
+    Every step holds over every field, and a state that is not CM makes
+    every state above it not CM, so the first failing state still ends the
+    walk.
     """
     closed = [m | 1 << v for v, m in enumerate(nbr)]
     homology: dict[int, dict[int, int]] = {}  # folded mask -> nonzero ranks
@@ -810,59 +828,6 @@ def _cm_by_graph(nbr: list[int], field: FieldChoice, face_budget: int) -> bool:
             for part in parts:
                 total += yield part
             return total
-        common = None
-        for v in _bits(w):
-            s = yield w & ~closed[v]
-            if common is not None and s != common:
-                return None
-            common = s
-        if common and any(d < common for d in ranks(w)):
-            return None
-        return common + 1
-
-    return _memo_walk((1 << len(nbr)) - 1, walk, face_budget, "link") is not None
-
-
-# ---------------------------------------------------------------------------
-# the vertex-decomposition certificate: shedding dominated vertices
-# ---------------------------------------------------------------------------
-
-
-def _vd_certificate(nbr: list[int], face_budget: int) -> dict[int, tuple] | None:
-    """A certificate that Ind(G) is pure and vertex decomposable, or None.
-
-    The search runs on vertex masks W, memoized (_memo_walk), and gives each
-    state it certifies an entry (shed, dominating, size): Ind(G[W]) is
-    vertex decomposable and pure with facets of `size` vertices.  An empty W
-    is {∅}, of size 0, and a single vertex is a point, of size 1; neither
-    gets an entry.  Otherwise:
-      - a disconnected W is the join of its components' complexes, and a
-        join of pure vertex decomposable complexes is one, of the summed
-        size (Provan-Billera 1980).  Its entry is (-1, -1, size);
-      - a connected W sheds a vertex v that some u ≠ v of G[W] dominates,
-        N_W[u] ⊆ N_W[v], which makes v a shedding vertex (Woodroofe 2009).
-        The facets of Ind(G[W]) are then those of Ind(G[W - v]) and those
-        of Ind(G[W - N[v]]) with v added, so Ind(G[W]) is pure of size s
-        exactly when the deletion W - v is pure of size s and the link
-        W - N[v] pure of size s - 1.  Its entry is (v, u, s).
-    The first state with no dominated vertex or with sizes that differ ends
-    the whole search with None, since every state above it would fail too:
-    sizes differ only where the complex is impure, but a missing dominated
-    vertex says nothing about Cohen-Macaulayness.  A pure vertex
-    decomposable complex is shellable, so CM over every field.  The states
-    are held to the face budget.
-    """
-    closed = [m | 1 << v for v, m in enumerate(nbr)]
-    steps: dict[int, tuple] = {}
-
-    def decompose(w: int):
-        parts = _components(nbr, w)
-        if len(parts) > 1:
-            total = 0
-            for part in parts:
-                total += yield part
-            steps[w] = (-1, -1, total)
-            return total
         for u in _bits(w):
             # the v with N_W[u] ⊆ N[v] are those in N[x] for every x in N_W[u]
             over = w
@@ -873,68 +838,20 @@ def _vd_certificate(nbr: list[int], face_budget: int) -> dict[int, tuple] | None
                 v = (over & -over).bit_length() - 1
                 s = yield w ^ 1 << v
                 t = yield w & ~closed[v]
-                if t != s - 1:
-                    return None
-                steps[w] = (v, u, s)
-                return s
-        return None  # no vertex of G[w] is dominated
+                return s if t == s - 1 else None
+        common = None
+        for v in _bits(w):
+            s = yield w & ~closed[v]
+            if common is not None and s != common:
+                return None
+            common = s
+        if common and any(d < common for d in ranks(w)):
+            return None
+        return common + 1
 
-    if _memo_walk((1 << len(nbr)) - 1, decompose, face_budget, "certificate") is None:
-        return None
-    return steps
-
-
-def _replay_vd(nbr: list[int], steps: dict[int, tuple]) -> int:
-    """The pure size of Ind(G) that a _vd_certificate proves, each state checked.
-
-    Each entry is checked on its own, at O(V) mask operations: a join's
-    components are found again, at least two of them, and their sizes must
-    add up; a shed vertex must lie in W and be dominated there by a
-    different vertex of W, and the sizes of W - v and W - N[v] must be s and
-    s - 1.  Every child named is a proper subset of its state and must have
-    an entry of its own (or be empty or one vertex), so the checks are an
-    induction down to {∅} and points.  Any failure raises
-    InternalMismatchError.
-    """
-    closed = [m | 1 << v for v, m in enumerate(nbr)]
-
-    def size(w: int) -> int:
-        if not w & w - 1:
-            return w.bit_count()
-        if w not in steps:
-            raise InternalMismatchError(f"the certificate has no state {w:#x}")
-        return steps[w][2]
-
-    for w, (v, u, s) in steps.items():
-        if v < 0:
-            parts = _components(nbr, w)
-            if len(parts) < 2 or sum(size(part) for part in parts) != s:
-                raise InternalMismatchError(
-                    f"state {w:#x} is not a join of size {s} of its components"
-                )
-        elif u == v or not (w >> u & 1 and w >> v & 1) or closed[u] & w & ~closed[v]:
-            raise InternalMismatchError(f"in state {w:#x}, vertex {u} does not dominate {v}")
-        elif size(w ^ 1 << v) != s or size(w & ~closed[v]) != s - 1:
-            raise InternalMismatchError(
-                f"state {w:#x} sheds {v} but its deletion and link are not of sizes {s}, {s - 1}"
-            )
-    return size((1 << len(nbr)) - 1)
-
-
-def _certified_size(cx: SimplicialComplex, nbr: list[int], face_budget: int) -> int | None:
-    """The facet size of the flag complex cx = Ind(G) if a replayed vertex
-    decomposition certifies it pure, else None; a certified size that some
-    facet of cx does not have raises InternalMismatchError."""
-    steps = _vd_certificate(nbr, face_budget)
-    if steps is None:
-        return None
-    size = _replay_vd(nbr, steps)
-    if any(f.bit_count() != size for f in cx.facets):
-        raise InternalMismatchError(
-            f"the vertex decomposition certifies facets of size {size}, "
-            f"but the complex has facet sizes {sorted(is_pure(cx)[1])}"
-        )
-    return size
+    root = (1 << len(nbr)) - 1
+    memo = _memo_walk(root, walk, face_budget)
+    return None if memo is None else memo.get(root, root.bit_count())
 
 
 def is_cohen_macaulay(
@@ -947,19 +864,20 @@ def is_cohen_macaulay(
     Reisner: the complex is CM iff no link of a face, the empty face
     included, has reduced homology below its dimension.  A flag complex in
     which every vertex lies in a facet is Ind(G) for the graph G of the
-    vertex pairs that share no facet.  Its verdict is positive over every
-    field when a vertex decomposition by dominated vertices certifies it
-    pure (_vd_certificate, checked by _replay_vd and against the facet
-    sizes), and otherwise comes from the graph walk (_cm_by_graph), which
-    never lists the faces of the whole complex.  The walk's steps are exact
-    over every field: a link is Ind(G[W]) for a vertex mask W; Ind of a
-    disconnected graph is a join, CM exactly when every factor is, and an
-    isolated vertex makes it a cone, so acyclic; the complex is CM iff its
-    vertex links are CM, of one dimension since CM complexes are pure, and
-    it has no homology below its dimension; and folding v away when
-    N(u) ⊆ N(v) keeps the homotopy type (Engström's fold lemma), so that
-    homology is ranked only on fold-free components and combined by the
-    Künneth formula for joins.
+    vertex pairs that share no facet, and its verdict comes from the graph
+    walk (_cm_by_graph), which never lists the faces of the whole complex.
+    Each of the walk's steps is exact over every field: a link is Ind(G[W])
+    for a vertex mask W; Ind of a disconnected graph is a join, CM exactly
+    when every factor is, and an isolated vertex makes it a cone, so
+    acyclic; a dominated vertex v, N_W[u] ⊆ N_W[v], is shed, W being CM
+    exactly when W - v and W - N[v] are, of sizes s and s - 1; with no
+    dominated vertex, the complex is CM iff its vertex links are CM, of one
+    dimension since CM complexes are pure, and it has no homology below its
+    dimension; and folding v away when N(u) ⊆ N(v) keeps the homotopy type
+    (Engström's fold lemma), so that homology is ranked only on fold-free
+    components and combined by the Künneth formula for joins.  A positive
+    verdict gives the pure size α of the complex, and every facet must have
+    α vertices, or InternalMismatchError is raised.
 
     Any other complex, {∅} included, goes to the face walk (_cm_by_faces).
     On a negative verdict the face walk also gives the witness: the
@@ -971,13 +889,17 @@ def is_cohen_macaulay(
     nbr = _flag_graph(cx)
     if nbr is None:
         return _cm_by_faces(cx, field, face_budget)
-    if _certified_size(cx, nbr, face_budget) is not None:
-        return _pure_certificate(cx, field)
-    if not _cm_by_graph(nbr, field, face_budget):
+    size = _cm_by_graph(nbr, field, face_budget)
+    if size is None:
         cert = _cm_by_faces(cx, field, face_budget)
         if cert.verdict:
             raise InternalMismatchError(
                 "the graph walk finds a flag complex not CM that the face walk finds CM"
             )
         return cert
-    return _pure_certificate(cx, field)
+    if any(f.bit_count() != size for f in cx.facets):
+        raise InternalMismatchError(
+            f"the graph walk finds Ind(G) CM of size {size}, "
+            f"but the complex has facet sizes {sorted(is_pure(cx)[1])}"
+        )
+    return CMCertificate(True, field)

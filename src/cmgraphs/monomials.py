@@ -6,8 +6,8 @@ slots, slot(a, i) = (a-1)*n + (i-1).  Text syntax is `X[a,i]*X[b,j]`, with
 `1` for the empty product.
 
 Ideals are masks end to end: a MonomialIdeal stores the canonical tuple of
-its generators' masks, and sort_gens, from_masks and minimalize take and
-give masks.  The Monomial dataclass is made only to parse and print, and
+its generators' masks, and its constructor, sort_gens and minimalize take
+and give masks.  The Monomial dataclass is made only to parse and print, and
 where a caller asks for `gens`.
 """
 
@@ -148,10 +148,6 @@ class MonomialIdeal:
         """Whether the empty monomial generates, i.e. the ideal is the whole ring."""
         return 0 in self.gen_masks
 
-    @classmethod
-    def from_masks(cls, r: int, n: int, masks) -> MonomialIdeal:
-        return cls(r, n, masks)
-
 
 def sort_gens(masks) -> tuple[int, ...]:
     # canonical order: degree, then lexicographic on the sorted variable tuple.
@@ -169,7 +165,7 @@ def minimalize(masks, r: int, n: int) -> MonomialIdeal:
     for m in sorted(set(masks), key=int.bit_count):
         if not any(k & ~m == 0 for k in kept):
             kept.append(m)
-    return MonomialIdeal.from_masks(r, n, kept)
+    return MonomialIdeal(r, n, kept)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +191,7 @@ def parse_ideal_lines(text: str, r: int, n: int) -> MonomialIdeal:
             gens.append(parse_monomial(line, r, n))
         except ParseError as exc:
             raise ParseError(f"line {lineno}: {exc.message}") from None
-    return MonomialIdeal.from_masks(r, n, (g.mask for g in gens))
+    return MonomialIdeal(r, n, (g.mask for g in gens))
 
 
 def write_ideal(path, ideal: MonomialIdeal) -> None:

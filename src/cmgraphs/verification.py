@@ -53,13 +53,10 @@ from .graphs import (
     independence_complex,
 )
 from .homology import (
-    DEFAULT_FACE_BUDGET,
     GF2,
     RATIONAL,
     CMCertificate,
-    _certified_size,
     _cm_by_faces,
-    _cm_by_graph,
     _flag_graph,
     is_cohen_macaulay,
     reduced_homology,
@@ -330,36 +327,21 @@ def _checked_cm(cx: SimplicialComplex, fields) -> list[CMCertificate]:
     """The CM certificates of a flag complex over each field, each checked
     against the face walk; a difference raises InternalMismatchError.
 
-    The vertex-decomposition certificate, replayed, runs once per complex,
-    since it holds over every field.  A complex it certifies must be CM by
-    the graph walk and by the face walk over every field.  Any other
-    complex gets its verdict from is_cohen_macaulay, which is then the
-    graph walk with the face walk's witness, and verdict and witness must
-    equal the face walk's.
+    The complex must be flag, so is_cohen_macaulay takes the graph walk (with
+    the face walk's witness on a negative verdict), and its verdict and
+    witness must equal the face walk's.
     """
-    nbr = _flag_graph(cx)
-    if nbr is None:
+    if _flag_graph(cx) is None:
         raise InternalMismatchError("an independence complex is not the flag complex of its graph")
-    certified = _certified_size(cx, nbr, DEFAULT_FACE_BUDGET)
     certs = []
     for field in fields:
+        cert = is_cohen_macaulay(cx, field)
         by_faces = _cm_by_faces(cx, field)
-        if certified is not None:
-            by_graph = _cm_by_graph(nbr, field, DEFAULT_FACE_BUDGET)
-            if not (by_graph and by_faces.verdict):
-                raise InternalMismatchError(
-                    f"CM over {field}: a vertex decomposition certifies Ind(G) pure of size "
-                    f"{certified}, but the graph walk gives {by_graph} and the face walk "
-                    f"{by_faces.verdict}, {by_faces.witness}"
-                )
-            cert = by_faces
-        else:
-            cert = is_cohen_macaulay(cx, field)
-            if (cert.verdict, cert.witness) != (by_faces.verdict, by_faces.witness):
-                raise InternalMismatchError(
-                    f"CM over {field}: the graph walk gives {cert.verdict}, {cert.witness} "
-                    f"and the face walk {by_faces.verdict}, {by_faces.witness}"
-                )
+        if (cert.verdict, cert.witness) != (by_faces.verdict, by_faces.witness):
+            raise InternalMismatchError(
+                f"CM over {field}: the graph walk gives {cert.verdict}, {cert.witness} "
+                f"and the face walk {by_faces.verdict}, {by_faces.witness}"
+            )
         certs.append(cert)
     return certs
 
@@ -369,8 +351,7 @@ def criterion_5_cohen_macaulay(seed: int) -> tuple[bool, str]:
 
     Every independence complex is also checked against Berge's kernel, which
     shares no code with the Bron-Kerbosch kernel that lists its facets, and
-    every CM verdict and witness of the graph walk against the face walk's;
-    a complex that a vertex decomposition certifies must be CM by both.
+    every CM verdict and witness of the graph walk against the face walk's.
     """
     rng = random.Random(seed ^ 0xC5)
     problems = []

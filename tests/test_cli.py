@@ -16,12 +16,11 @@ from cmgraphs import (
     close_relation,
     duality,
     homology,
-    independence_complex,
     verification,
 )
 from cmgraphs.cli import main
+from cmgraphs.duality import _maximal_independent_subsets
 from cmgraphs.graphs import build_complete_multipartite, cycle_graph, graph_of_family
-from cmgraphs.homology import _flag_graph
 from cmgraphs.posets import family_to_dict
 
 R7_FAMILY = Path(__file__).parent / "data" / "family_r7_n7.json"
@@ -321,9 +320,14 @@ def test_verify_paper_exits_3_when_the_facet_kernels_disagree(capsys, monkeypatc
 
 
 def test_verify_paper_exits_3_when_the_cm_walks_disagree(capsys, monkeypatch):
-    # a graph walk that calls every flag complex CM passes the families and
-    # constructions, and is caught at the four-cycle by the face walk
-    monkeypatch.setattr(homology, "_cm_by_graph", lambda nbr, field, budget: True)
+    # a graph walk that calls every flag complex CM, of its facets' size,
+    # passes the families and constructions, and is caught at the four-cycle
+    # by the face walk
+    def facet_size(nbr, field, budget):
+        closed = [m | 1 << v for v, m in enumerate(nbr)]
+        return max(f.bit_count() for f in _maximal_independent_subsets(closed, (1 << len(nbr)) - 1))
+
+    monkeypatch.setattr(homology, "_cm_by_graph", facet_size)
     with pytest.raises(InternalMismatchError, match="the graph walk gives True, None"):
         verification.criterion_5_cohen_macaulay(verification.DEFAULT_SEED)
     monkeypatch.setattr(
@@ -362,35 +366,6 @@ def test_verify_paper_exits_3_when_the_linear_quotients_routes_disagree(capsys, 
     assert "and an explicit order True, None" in err
 
 
-def test_verify_paper_exits_3_when_a_certificate_calls_the_four_cycle_cm(capsys, monkeypatch):
-    # Ind(C4) is two disjoint edges: pure, but not CM.  A kernel that forges
-    # a certificate for it is caught by the replay; with a replay that trusts
-    # it as well, criterion 5 finds both walks against the certificate
-    c4 = _flag_graph(independence_complex(cycle_graph(4)))
-    real_kernel, real_replay = homology._vd_certificate, homology._replay_vd
-    monkeypatch.setattr(
-        homology,
-        "_vd_certificate",
-        lambda nbr, budget: {0b1111: (0, 2, 2)} if nbr == c4 else real_kernel(nbr, budget),
-    )
-    rc, out, err = run(capsys, "verify-paper")
-    assert rc == 3
-    assert out == ""
-    assert "E_INTERNAL: in state 0xf, vertex 2 does not dominate 0" in err
-    monkeypatch.setattr(
-        homology,
-        "_replay_vd",
-        lambda nbr, steps: 2 if nbr == c4 else real_replay(nbr, steps),
-    )
-    rc, out, err = run(capsys, "verify-paper")
-    assert rc == 3
-    assert out == ""
-    assert (
-        "E_INTERNAL: CM over gf2: a vertex decomposition certifies Ind(G) pure of size 2, "
-        "but the graph walk gives False and the face walk False, ((), 0, 1)"
-    ) in err
-
-
 def test_r7_family_data_is_the_second_seeded_draw():
     # family graphs r = n = k are drawn from random.Random(7) for k = 6, 7,
     # ...: each of the k - 1 levels takes every pair i < j with probability
@@ -414,10 +389,11 @@ def test_r7_family_data_is_the_second_seeded_draw():
 
 
 def test_graph_cm_certifies_the_r7_family_graph_without_the_graph_walk(capsys, monkeypatch):
+    # shedding and joins decide it; no boundary rank is taken
     def refuse(*args):
-        raise AssertionError("the graph walk ran on a certified complex")
+        raise AssertionError("a boundary rank was taken")
 
-    monkeypatch.setattr(homology, "_cm_by_graph", refuse)
+    monkeypatch.setattr(homology, "_homology_of_faces", refuse)
     # the bytes the graph walk's verdict printed, in text and in JSON
     rc, out, err = run(capsys, "graph", "cm", str(R7_FAMILY))
     assert (rc, err) == (0, "")

@@ -518,8 +518,8 @@ def test_graph_walk_on_a_600_vertex_path_needs_no_recursion():
     # 300 deep, which would pass the interpreter's recursion limit as calls
     n = 600
     path = _graph_masks(n, [(v, v + 1) for v in range(n - 1)])
-    assert _cm_by_graph(path, GF2, DEFAULT_FACE_BUDGET) is False
-    assert _cm_by_graph(_graph_masks(4, [(0, 1), (1, 2), (2, 3)]), GF2, 64) is True
+    assert _cm_by_graph(path, GF2, DEFAULT_FACE_BUDGET) is None
+    assert _cm_by_graph(_graph_masks(4, [(0, 1), (1, 2), (2, 3)]), GF2, 64) == 2
     with pytest.raises(SizeBudgetError, match="link states exceed the budget of 100"):
         _cm_by_graph(path, GF2, 100)
 
@@ -537,20 +537,20 @@ def test_memo_walk_memoizes_states_and_stops_at_the_first_failure():
             assert (yield w ^ 1 << 3) == 3
         return value
 
-    memo = _memo_walk(0b1111, count, 10, "test")
+    memo = _memo_walk(0b1111, count, 10)
     assert memo == {0b1111: 4, 0b1110: 3, 0b1100: 2, 0b0111: 3, 0b0110: 2}
     assert len(visits) == len(memo)  # each state once; masks of one vertex are leaves
-    assert _memo_walk(0b1000, count, 1, "test") == {}
+    assert _memo_walk(0b1000, count, 1) == {}
 
     def fail_at_two(w):
         value = (yield w ^ w & -w) + 1
         return None if value == 2 else value
 
-    assert _memo_walk(0b1111, fail_at_two, 10, "test") is None
+    assert _memo_walk(0b1111, fail_at_two, 10) is None
     # root, 0b1110 and 0b1100 are three states: a budget of two stops the third
-    with pytest.raises(SizeBudgetError, match="3 test states exceed the budget of 2"):
-        _memo_walk(0b1111, fail_at_two, 2, "test")
-    assert _memo_walk(0b1111, fail_at_two, 3, "test") is None
+    with pytest.raises(SizeBudgetError, match="3 link states exceed the budget of 2"):
+        _memo_walk(0b1111, fail_at_two, 2)
+    assert _memo_walk(0b1111, fail_at_two, 3) is None
 
 
 def test_non_flag_complexes_go_to_the_face_walk(monkeypatch):
@@ -566,7 +566,7 @@ def test_non_flag_complexes_go_to_the_face_walk(monkeypatch):
 
 
 def test_graph_walk_and_face_walk_disagreeing_raises(monkeypatch):
-    monkeypatch.setattr("cmgraphs.homology._cm_by_graph", lambda *args: False)
+    monkeypatch.setattr("cmgraphs.homology._cm_by_graph", lambda *args: None)
     with pytest.raises(InternalMismatchError, match="face walk finds CM"):
         is_cohen_macaulay(independence_complex(cycle_graph(5)))
 
@@ -624,6 +624,18 @@ def test_link_of_empty_face_is_the_complex():
 def test_link_rejects_non_faces():
     with pytest.raises(NotFaceError):
         link(HOLLOW_TRIANGLE, (1, 2, 3))
+
+
+def test_link_rejects_bools_and_masks_outside_the_vertex_set():
+    c5 = independence_complex(cycle_graph(5))
+    for face in (True, 1 << 40, -1):
+        with pytest.raises(RangeError, match="is not a set of the complex's 5 vertices"):
+            link(c5, face)
+    # masks in range and label tuples behave as before
+    assert link(c5, 1) == link(c5, (c5.vertices[0],))
+    assert link(c5, 0) == c5
+    with pytest.raises(NotFaceError):
+        link(c5, 0b11)
 
 
 def test_purity():

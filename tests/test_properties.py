@@ -54,8 +54,6 @@ from cmgraphs.homology import (  # noqa: E402
     _cm_by_faces,
     _cm_by_graph,
     _flag_graph,
-    _replay_vd,
-    _vd_certificate,
 )
 
 
@@ -204,33 +202,22 @@ def test_independence_complex_matches_minimal_transversals(graph):
 @given(multipartite_graphs(max_r=4, max_n=3))
 @example(cycle_graph(4))
 @example(cycle_graph(5))
+@example(MultipartiteGraph(2, 3, frozenset(((1, i), (2, i)) for i in range(1, 4))))
+# CM, and N(X[1,1]) ⊆ N(X[1,2]) for two nonadjacent vertices: shedding by
+# open neighbourhoods would call it not CM
+@example(MultipartiteGraph(2, 3, frozenset(((1, i), (2, j)) for j in (1, 2, 3) for i in (1, 2, 3) if j <= i)))
 def test_graph_walk_matches_the_face_walk(graph):
     cx = independence_complex(graph)
     nbr = _flag_graph(cx)
     assert nbr is not None  # Ind(G) is flag and covers every vertex
     for field in (GF2, gfp(3), RATIONAL):
         by_faces = _cm_by_faces(cx, field)
-        assert _cm_by_graph(nbr, field, DEFAULT_FACE_BUDGET) == by_faces.verdict
+        alpha = _cm_by_graph(nbr, field, DEFAULT_FACE_BUDGET)
+        assert (alpha is not None) == by_faces.verdict
+        if alpha is not None:  # a CM complex is pure of the walk's size
+            assert all(f.bit_count() == alpha for f in cx.facets)
         cert = is_cohen_macaulay(cx, field)
         assert (cert.verdict, cert.witness) == (by_faces.verdict, by_faces.witness)
-
-
-@settings(derandomize=True, deadline=None, max_examples=150)
-@given(multipartite_graphs(max_r=4, max_n=3))
-@example(cycle_graph(4))
-@example(cycle_graph(5))
-@example(MultipartiteGraph(2, 3, frozenset(((1, i), (2, i)) for i in range(1, 4))))
-def test_certified_graphs_are_cm_by_both_walks(graph):
-    cx = independence_complex(graph)
-    nbr = _flag_graph(cx)
-    steps = _vd_certificate(nbr, DEFAULT_FACE_BUDGET)
-    if steps is None:
-        return
-    size = _replay_vd(nbr, steps)
-    assert all(f.bit_count() == size for f in cx.facets)
-    for field in (GF2, gfp(3), RATIONAL):
-        assert _cm_by_graph(nbr, field, DEFAULT_FACE_BUDGET)
-        assert _cm_by_faces(cx, field).verdict
 
 
 @st.composite
