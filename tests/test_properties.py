@@ -9,7 +9,8 @@ identity, the CM verdict does not depend on vertex order, the
 Bron-Kerbosch facets of quadratic ideals and r-partite graphs are the
 complements of Berge's minimal transversals, the graph walk and the face
 walk give r-partite graphs one CM verdict and witness, and an r-partite
-graph that the vertex-decomposition certificate certifies is CM by both."""
+graph that a plain decomposition by dominated vertices certifies pure is
+CM by both, of that facet size."""
 
 import random
 
@@ -218,6 +219,53 @@ def test_graph_walk_matches_the_face_walk(graph):
             assert all(f.bit_count() == alpha for f in cx.facets)
         cert = is_cohen_macaulay(cx, field)
         assert (cert.verdict, cert.witness) == (by_faces.verdict, by_faces.witness)
+
+
+def _dominated_decomposition_size(nbr, w):
+    """The facet size of Ind(G[w]) if shedding dominated vertices takes it
+    to {∅} with pure sizes throughout, else None: the plain recursion, no
+    memo.  A disconnected w is the join of its components; a connected w
+    sheds the lowest v that some other u dominates, N_w[u] ⊆ N_w[v], and is
+    pure of size s when w - v is of size s and w - N[v] of size s - 1."""
+    if not w & w - 1:
+        return w.bit_count()
+    part = frontier = w & -w
+    while frontier:
+        grown = 0
+        for x in range(len(nbr)):
+            if frontier >> x & 1:
+                grown |= nbr[x]
+        frontier = grown & w & ~part
+        part |= frontier
+    if part != w:
+        a = _dominated_decomposition_size(nbr, part)
+        b = _dominated_decomposition_size(nbr, w ^ part)
+        return None if a is None or b is None else a + b
+    closed = [(m | 1 << v) & w for v, m in enumerate(nbr)]
+    for v in range(len(nbr)):
+        if w >> v & 1 and any(
+            u != v and w >> u & 1 and not closed[u] & ~closed[v] for u in range(len(nbr))
+        ):
+            s = _dominated_decomposition_size(nbr, w ^ 1 << v)
+            t = _dominated_decomposition_size(nbr, w & ~closed[v])
+            return s if s is not None and t == s - 1 else None
+    return None
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(multipartite_graphs(max_r=4, max_n=3))
+@example(cycle_graph(4))
+@example(MultipartiteGraph(2, 3, frozenset(((1, i), (2, i)) for i in range(1, 4))))
+def test_certified_graphs_are_cm_by_both_walks(graph):
+    cx = independence_complex(graph)
+    nbr = _flag_graph(cx)
+    size = _dominated_decomposition_size(nbr, (1 << len(nbr)) - 1)
+    if size is None:
+        return
+    assert all(f.bit_count() == size for f in cx.facets)
+    for field in (GF2, gfp(3), RATIONAL):
+        assert _cm_by_graph(nbr, field, DEFAULT_FACE_BUDGET) == size
+        assert _cm_by_faces(cx, field).verdict
 
 
 @st.composite
