@@ -185,10 +185,18 @@ class SimplicialComplex:
     Facets are an inclusion-antichain, sorted by (size, bitmask).  Vertices
     not covered by any facet are allowed: the complex of an ideal with a
     degree-1 generator legitimately omits that vertex from every face.
+
+    A complex built by `graphs.independence_complex` also records its graph
+    G as neighbourhood masks, `_graph_nbr`, so the CM oracle walks G instead
+    of deriving it again from the facets.  It is not a field: it takes no
+    part in ==, hash or repr, and every complex made any other way reads the
+    class default None.
     """
 
     vertices: tuple
     facets: tuple[int, ...]
+
+    _graph_nbr = None  # not annotated, so not a dataclass field
 
     def __post_init__(self):
         full = (1 << len(self.vertices)) - 1

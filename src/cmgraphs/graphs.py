@@ -189,8 +189,18 @@ def edge_ideal(graph: MultipartiteGraph) -> MonomialIdeal:
 
 
 def independence_complex(graph: MultipartiteGraph) -> SimplicialComplex:
-    """Faces are the independent vertex sets; facets the maximal ones."""
-    return complex_of_ideal(edge_ideal(graph), grid_vertices(graph.r, graph.n))
+    """Faces are the independent vertex sets; facets the maximal ones.
+
+    The complex records graph.nbr (see SimplicialComplex).  The edge ideal
+    has only degree-2 generators, so its complex is the Bron-Kerbosch list
+    of the maximal independent sets of G, every vertex in some facet, and
+    the graph of the vertex pairs that share no facet is G again: the CM
+    oracle walks the recorded masks rather than derive and list G a second
+    time.
+    """
+    cx = complex_of_ideal(edge_ideal(graph), grid_vertices(graph.r, graph.n))
+    object.__setattr__(cx, "_graph_nbr", graph.nbr)  # frozen, and not a field
+    return cx
 
 
 def _perfect_elimination_order(nbr) -> list[int] | None:

@@ -36,7 +36,9 @@ it, and is_cohen_macaulay picks one from the complex itself.
 
 The graph walk (_cm_by_graph) runs on every flag complex that covers its
 vertices: such a complex is Ind(G), G the graph of the vertex pairs that
-share no facet, and the link of a face F is Ind(G[V - N[F]]), so a link is
+share no facet.  An independence complex carries its G (SimplicialComplex
+records it), and only a complex without one has G derived from its facets
+(_flag_graph).  The link of a face F is Ind(G[V - N[F]]), so a link is
 named by one vertex mask W and the walk is memoized on the distinct W, not
 on faces.  Each step it takes is exact over every field.  A disconnected W
 is a join of its components' complexes, and a join is CM exactly when every
@@ -629,6 +631,11 @@ def _cm_by_faces(
 def _flag_graph(cx: SimplicialComplex) -> list[int] | None:
     """Neighbourhood masks of the graph G with Ind(G) = cx, or None if there is none.
 
+    This is is_cohen_macaulay's route for complexes without a recorded
+    graph: those built from facets, by link or alexander_dual_complex, or
+    from an ideal that is not an edge ideal.  Criterion 5 also runs it on
+    independence complexes, as a check of the graph they record.
+
     G joins the vertex pairs that share no facet, read off the facet
     columns.  Its maximal independent sets are the facets exactly when cx
     is flag; the complex {∅}, a complex with a vertex in no facet and a
@@ -664,16 +671,34 @@ def _bits(mask: int):
         yield low.bit_length() - 1
 
 
-def _components(nbr: list[int], w: int) -> list[int]:
-    """The vertex masks of the connected components of G[w]."""
+def _components(nbr: list[int], w: int, seeds: int) -> list[int]:
+    """The vertex masks of the connected components of G[w], by lowest vertex.
+
+    Every component must hold a vertex of seeds; w itself always serves.  A
+    component is searched from its lowest seed, and the search stops once it
+    holds every seed left, since the rest of w is then that one component.
+    The walk seeds a state from what it knows: a component of a split state
+    is connected, one seed, and when W is connected every component of
+    W - v holds a neighbour of v.  So shedding one vertex of a long path
+    costs a step or two, not a search along the whole path.
+    """
     parts = []
-    while w:
-        part = frontier = w & -w
-        while frontier:
-            frontier = _union_of_rows(nbr, frontier) & w & ~part
-            part |= frontier
-        parts.append(part)
-        w ^= part
+    seeds &= w
+    while seeds & seeds - 1:
+        frontier = seeds & -seeds
+        left = w ^ frontier
+        while frontier and seeds & left:
+            frontier = _union_of_rows(nbr, frontier) & left
+            left ^= frontier
+        if not seeds & left:
+            break
+        parts.append(w ^ left)
+        w = left
+        seeds &= left
+    if w:
+        parts.append(w)
+    if len(parts) > 1:
+        parts.sort(key=lambda m: m & -m)
     return parts
 
 
@@ -811,7 +836,7 @@ def _cm_by_graph(nbr: list[int], field: FieldChoice, face_budget: int) -> int | 
             out = {}  # a cone
         else:
             out = {-1: 1}
-            for part in _components(nbr, w):
+            for part in _components(nbr, w, w):
                 if part not in homology:
                     faces = _faces_by_dim(_maximal_independent_subsets(closed, part), face_budget)
                     homology[part] = {
@@ -821,11 +846,17 @@ def _cm_by_graph(nbr: list[int], field: FieldChoice, face_budget: int) -> int | 
         homology[w] = out
         return out
 
+    # the seeds (_components) a parent knows for the state it last yielded;
+    # seeds depend on the mask alone, so they hold whichever parent yields it
+    hinted = hint = 0
+
     def walk(w: int):
-        parts = _components(nbr, w)
+        nonlocal hinted, hint
+        parts = _components(nbr, w, hint if w == hinted else w)
         if len(parts) > 1:
             total = 0
             for part in parts:
+                hinted, hint = part, part & -part
                 total += yield part
             return total
         for u in _bits(w):
@@ -836,6 +867,7 @@ def _cm_by_graph(nbr: list[int], field: FieldChoice, face_budget: int) -> int | 
             over ^= 1 << u
             if over:
                 v = (over & -over).bit_length() - 1
+                hinted, hint = w ^ 1 << v, nbr[v]
                 s = yield w ^ 1 << v
                 t = yield w & ~closed[v]
                 return s if t == s - 1 else None
@@ -866,6 +898,10 @@ def is_cohen_macaulay(
     which every vertex lies in a facet is Ind(G) for the graph G of the
     vertex pairs that share no facet, and its verdict comes from the graph
     walk (_cm_by_graph), which never lists the faces of the whole complex.
+    A complex from graphs.independence_complex carries G's neighbourhood
+    masks and the walk takes them as they are; for complexes without a
+    recorded graph, _flag_graph derives G from the facet columns and lists
+    its maximal independent sets again to confirm the complex is flag.
     Each of the walk's steps is exact over every field: a link is Ind(G[W])
     for a vertex mask W; Ind of a disconnected graph is a join, CM exactly
     when every factor is, and an isolated vertex makes it a cone, so
@@ -886,7 +922,9 @@ def is_cohen_macaulay(
     raised.  On success purity is asserted, since the criterion implies it.
     """
     _check_face_budget(face_budget)
-    nbr = _flag_graph(cx)
+    nbr = cx._graph_nbr
+    if nbr is None:
+        nbr = _flag_graph(cx)
     if nbr is None:
         return _cm_by_faces(cx, field, face_budget)
     size = _cm_by_graph(nbr, field, face_budget)

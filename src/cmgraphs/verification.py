@@ -324,15 +324,20 @@ def _checked_independence_complex(graph) -> SimplicialComplex:
 
 
 def _checked_cm(cx: SimplicialComplex, fields) -> list[CMCertificate]:
-    """The CM certificates of a flag complex over each field, each checked
-    against the face walk; a difference raises InternalMismatchError.
+    """The CM certificates of an independence complex over each field, each
+    checked against the face walk; a difference raises InternalMismatchError.
 
-    The complex must be flag, so is_cohen_macaulay takes the graph walk (with
-    the face walk's witness on a negative verdict), and its verdict and
-    witness must equal the face walk's.
+    is_cohen_macaulay walks the graph the complex recorded, so that graph
+    must be the one _flag_graph derives from the facets and confirms by a
+    second Bron-Kerbosch listing, once per complex.  The verdict and witness
+    of the graph walk (with the face walk's witness on a negative verdict)
+    must equal the face walk's.
     """
-    if _flag_graph(cx) is None:
-        raise InternalMismatchError("an independence complex is not the flag complex of its graph")
+    derived = _flag_graph(cx)
+    if derived is None or tuple(derived) != cx._graph_nbr:
+        raise InternalMismatchError(
+            "an independence complex is not the flag complex of the graph it records"
+        )
     certs = []
     for field in fields:
         cert = is_cohen_macaulay(cx, field)
@@ -350,8 +355,9 @@ def criterion_5_cohen_macaulay(seed: int) -> tuple[bool, str]:
     """Independence complexes of valid constructions are CM; the cycles behave.
 
     Every independence complex is also checked against Berge's kernel, which
-    shares no code with the Bron-Kerbosch kernel that lists its facets, and
-    every CM verdict and witness of the graph walk against the face walk's.
+    shares no code with the Bron-Kerbosch kernel that lists its facets, the
+    graph it records against the one derived from its facets, and every CM
+    verdict and witness of the graph walk against the face walk's.
     """
     rng = random.Random(seed ^ 0xC5)
     problems = []

@@ -319,6 +319,36 @@ def test_verify_paper_exits_3_when_the_facet_kernels_disagree(capsys, monkeypatc
     assert "E_INTERNAL: Ind(G) facets" in err
 
 
+def test_verify_paper_exits_3_when_a_recorded_graph_differs(capsys, monkeypatch):
+    # a complex that records its graph less one edge: criterion 5 derives the
+    # graph from the facets and refuses the recorded one
+    real = verification.independence_complex
+
+    def one_edge_short(graph):
+        cx = real(graph)
+        nbr = list(cx._graph_nbr)
+        u = next((k for k, row in enumerate(nbr) if row), None)
+        if u is not None:
+            v = (nbr[u] & -nbr[u]).bit_length() - 1
+            nbr[u] ^= 1 << v
+            nbr[v] ^= 1 << u
+        object.__setattr__(cx, "_graph_nbr", tuple(nbr))
+        return cx
+
+    monkeypatch.setattr(verification, "independence_complex", one_edge_short)
+    with pytest.raises(InternalMismatchError, match="not the flag complex of the graph it records"):
+        verification.criterion_5_cohen_macaulay(verification.DEFAULT_SEED)
+    monkeypatch.setattr(
+        verification,
+        "criterion_1_sample_reproduction",
+        lambda: verification.criterion_5_cohen_macaulay(7),
+    )
+    rc, out, err = run(capsys, "verify-paper")
+    assert rc == 3
+    assert out == ""
+    assert "E_INTERNAL: an independence complex is not the flag complex" in err
+
+
 def test_verify_paper_exits_3_when_the_cm_walks_disagree(capsys, monkeypatch):
     # a graph walk that calls every flag complex CM, of its facets' size,
     # passes the families and constructions, and is caught at the four-cycle

@@ -1,9 +1,10 @@
 """CLI stdout, byte for byte, against committed golden files.
 
 Each golden in tests/data/cli/ is the stdout of one command on the packaged
-sample family or on a graph file next to it.  A reordered generator list, a
-reformatted witness or a changed verdict shows here, where a substring
-check would let it through.
+sample family, on a graph file next to it, or on the r = n = 7 family of
+tests/data, the largest (49 vertices, 15549 facets).  A reordered generator
+list, a reformatted witness or a changed verdict shows here, where a
+substring check would let it through.
 """
 
 from pathlib import Path
@@ -17,6 +18,7 @@ DATA = Path(__file__).parent / "data" / "cli"
 SAMPLE = str(ROOT / "src" / "cmgraphs" / "data" / "sample_family.json")
 CYCLE4 = str(DATA / "cycle4.json")
 VIOLATIONS = str(DATA / "thm1_violations.json")
+FAMILY_R7 = str(DATA.parent / "family_r7_n7.json")
 
 # golden file -> the command whose stdout it holds
 GOLDENS = {
@@ -36,6 +38,7 @@ GOLDENS = {
     "graph_cm.txt": ("graph", "cm", SAMPLE),
     "graph_cm_rational.json": ("graph", "cm", SAMPLE, "--field", "rational", "--format", "json"),
     "cycle4_graph_cm_witness.txt": ("graph", "cm", CYCLE4, "--witness"),
+    "family_r7_n7_graph_cm.txt": ("graph", "cm", FAMILY_R7),
     "cycle4_graph_check_thm1.txt": ("graph", "check", CYCLE4, "--which", "thm1"),
     "cycle4_graph_check_thm2.txt": ("graph", "check", CYCLE4, "--which", "thm2"),
     "violations_graph_check_thm1.txt": ("graph", "check", VIOLATIONS, "--which", "thm1"),

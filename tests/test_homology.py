@@ -17,10 +17,13 @@ from cmgraphs import (
     GF2,
     RATIONAL,
     InternalMismatchError,
+    MonomialIdeal,
     NotFaceError,
     ParseError,
     RangeError,
+    SimplicialComplex,
     SizeBudgetError,
+    alexander_dual_complex,
     complex_of_ideal,
     gfp,
     grid_vertices,
@@ -31,7 +34,7 @@ from cmgraphs import (
     parse_field,
     reduced_homology,
 )
-from cmgraphs import RelationFamily
+from cmgraphs import RelationFamily, duality, homology
 from cmgraphs.duality import _maximal_independent_subsets
 from cmgraphs.graphs import (
     MultipartiteGraph,
@@ -44,6 +47,7 @@ from cmgraphs.homology import (
     _boundary_pivots,
     _cm_by_faces,
     _cm_by_graph,
+    _components,
     _faces_by_dim,
     _flag_graph,
     _fold,
@@ -569,6 +573,123 @@ def test_graph_walk_and_face_walk_disagreeing_raises(monkeypatch):
     monkeypatch.setattr("cmgraphs.homology._cm_by_graph", lambda *args: None)
     with pytest.raises(InternalMismatchError, match="face walk finds CM"):
         is_cohen_macaulay(independence_complex(cycle_graph(5)))
+
+
+def test_an_independence_complex_records_its_graph_and_nothing_else_does():
+    graph = cycle_graph(5)
+    ind = independence_complex(graph)
+    assert ind._graph_nbr == graph.nbr
+    # the recorded graph takes no part in ==, hash or repr
+    bare = SimplicialComplex(ind.vertices, ind.facets)
+    assert bare._graph_nbr is None
+    assert ind == bare and hash(ind) == hash(bare) and repr(ind) == repr(bare)
+    assert "_graph_nbr" not in repr(ind)
+    # a complex made any other way carries no graph
+    r, n = 2, 3
+    grid = grid_vertices(r, n)
+    x = {v: 1 << k for k, v in enumerate(grid)}
+    others = [
+        bare,
+        HOLLOW_TRIANGLE,
+        link(ind, [(1, 1)]),
+        alexander_dual_complex(ind),
+        complex_of_ideal(MonomialIdeal(r, n, [x[1, 1], x[1, 2] | x[2, 1]]), grid),
+        complex_of_ideal(MonomialIdeal(r, n, [x[1, 1] | x[2, 1] | x[2, 2]]), grid),
+        # the edge ideal itself, outside independence_complex
+        complex_of_ideal(MonomialIdeal(r, n, [x[1, 1] | x[2, 1]]), grid),
+    ]
+    for other in others:
+        assert other._graph_nbr is None
+
+
+def test_graph_cm_on_the_6x6_identity_family_lists_its_facets_once(monkeypatch):
+    # the graph the complex records goes to the walk as it is: no _flag_graph,
+    # and the one Bron-Kerbosch listing is the facet list's
+    calls = {"bron_kerbosch": 0, "flag_graph": 0}
+    real_listing = duality._maximal_independent_subsets
+    real_flag = homology._flag_graph
+
+    def listing(*args):
+        calls["bron_kerbosch"] += 1
+        return real_listing(*args)
+
+    def flag(*args):
+        calls["flag_graph"] += 1
+        return real_flag(*args)
+
+    monkeypatch.setattr(duality, "_maximal_independent_subsets", listing)
+    monkeypatch.setattr(homology, "_maximal_independent_subsets", listing)
+    monkeypatch.setattr(homology, "_flag_graph", flag)
+    ind = independence_complex(graph_of_family(RelationFamily.from_pairs(6, 6, {})))
+    assert len(ind.facets) == 6**6
+    assert is_cohen_macaulay(ind).verdict
+    assert calls == {"bron_kerbosch": 1, "flag_graph": 0}
+    # a complex without a recorded graph still derives and relists it
+    assert is_cohen_macaulay(SimplicialComplex(ind.vertices, ind.facets)).verdict
+    assert calls == {"bron_kerbosch": 2, "flag_graph": 1}
+
+
+def _plain_components(nbr, w):
+    """The components of G[w] by a breadth-first search from the lowest vertex left."""
+    parts = []
+    while w:
+        part = frontier = w & -w
+        while frontier:
+            grown = 0
+            for v in _bits_of(frontier):
+                grown |= nbr[v]
+            frontier = grown & w & ~part
+            part |= frontier
+        parts.append(part)
+        w ^= part
+    return parts
+
+
+def _random_graph(rng, size, density):
+    return _graph_masks(
+        size, [(u, v) for u in range(size) for v in range(u + 1, size) if rng.random() < density]
+    )
+
+
+def test_components_from_any_seeds_that_meet_every_part():
+    rng = random.Random(25)
+    for _ in range(300):
+        size = rng.randint(1, 14)
+        nbr = _random_graph(rng, size, 0.2)
+        w = rng.getrandbits(size) or 1
+        plain = _plain_components(nbr, w)
+        # one vertex of every part, and then some more
+        seeds = sum(1 << rng.choice(_bits_of(part)) for part in plain) | rng.getrandbits(size)
+        assert _components(nbr, w, seeds) == plain, (nbr, w, seeds)
+        assert _components(nbr, w, w) == plain
+    assert _components([0, 0], 0, 0) == []
+
+
+def test_the_walk_splits_every_disconnected_state(monkeypatch):
+    # a state split too little still gets its verdict, since shedding and
+    # vertex links hold on any graph, so the seeds the walk passes could
+    # go wrong unseen: every split is checked against a plain search.
+    # Trees have a cut vertex at every inner vertex.
+    rng = random.Random(26)
+    trees = [
+        _graph_masks(size, [(v, rng.randrange(v)) for v in range(1, size)])
+        for size in range(2, 40, 3)
+    ]
+    graphs = trees + [_random_graph(rng, rng.randint(2, 12), 0.3) for _ in range(60)]
+    seen = []
+    real = homology._components
+
+    def recording(nbr, w, seeds):
+        parts = real(nbr, w, seeds)
+        seen.append((nbr, w, parts))
+        return parts
+
+    monkeypatch.setattr(homology, "_components", recording)
+    for nbr in graphs:
+        _cm_by_graph(nbr, GF2, DEFAULT_FACE_BUDGET)
+    assert len(seen) > 300
+    for nbr, w, parts in seen:
+        assert parts == _plain_components(nbr, w), (nbr, w)
 
 
 def test_faces_by_dim_matches_all_subsets_reference():

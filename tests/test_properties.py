@@ -8,9 +8,10 @@ Generated-ideal and generated-complex properties: the double dual is the
 identity, the CM verdict does not depend on vertex order, the
 Bron-Kerbosch facets of quadratic ideals and r-partite graphs are the
 complements of Berge's minimal transversals, the graph walk and the face
-walk give r-partite graphs one CM verdict and witness, and an r-partite
-graph that a plain decomposition by dominated vertices certifies pure is
-CM by both, of that facet size."""
+walk give r-partite graphs one CM verdict and witness, so do the graph an
+independence complex records and the one derived from its facets, and an
+r-partite graph that a plain decomposition by dominated vertices
+certifies pure is CM by both, of that facet size."""
 
 import random
 
@@ -27,6 +28,7 @@ from cmgraphs import (  # noqa: E402
     Monomial,
     MultipartiteGraph,
     RelationFamily,
+    SimplicialComplex,
     alexander_dual_complex,
     build_hr,
     chain_compare,
@@ -219,6 +221,24 @@ def test_graph_walk_matches_the_face_walk(graph):
             assert all(f.bit_count() == alpha for f in cx.facets)
         cert = is_cohen_macaulay(cx, field)
         assert (cert.verdict, cert.witness) == (by_faces.verdict, by_faces.witness)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(multipartite_graphs(max_r=4, max_n=3))
+@example(MultipartiteGraph(3, 2, frozenset()))
+@example(MultipartiteGraph(3, 2, frozenset({((1, 1), (2, 1)), ((2, 1), (3, 2))})))
+@example(cycle_graph(4))
+@example(cycle_graph(5))
+def test_the_recorded_graph_gives_the_derived_graphs_verdict(graph):
+    # the graph an independence complex records is the one _flag_graph
+    # derives from its facets, so both give one verdict and witness
+    cx = independence_complex(graph)
+    bare = SimplicialComplex(cx.vertices, cx.facets)
+    assert tuple(_flag_graph(bare)) == cx._graph_nbr
+    for field in (GF2, gfp(3), RATIONAL):
+        recorded = is_cohen_macaulay(cx, field)
+        derived = is_cohen_macaulay(bare, field)
+        assert (recorded.verdict, recorded.witness) == (derived.verdict, derived.witness)
 
 
 def _dominated_decomposition_size(nbr, w):
