@@ -6,13 +6,11 @@ from .chains import (
     ChainOrder,
     LinearQuotientsVerdict,
     build_hr,
-    chain_compare,
     chain_monomial,
     check_all_extensions,
     check_linear_quotients,
     enumerate_chains,
     find_linear_quotients_order,
-    gamma_certificate,
     gamma_chain,
     linear_extension,
     random_linear_extension,
@@ -60,7 +58,6 @@ from .graphs import (
     graph_to_dot,
     herzog_hibi_conditions,
     independence_complex,
-    load_graph,
 )
 from .homology import (
     GF2,
@@ -79,19 +76,14 @@ from .monomials import (
     Monomial,
     MonomialIdeal,
     minimalize,
-    parse_ideal_lines,
     parse_monomial,
-    read_ideal,
-    write_ideal,
 )
 from .posets import (
-    CompositeRelation,
     Relation,
     RelationFamily,
     close_relation,
     composite_relation,
     composite_rows,
-    identity_relation,
     is_order_ideal,
     load_family,
     order_ideals,

@@ -64,7 +64,6 @@ from .posets import (
     RelationFamily,
     _transpose,
     _union_of_rows,
-    composite_rows,
     ideal_closure,
     members,
     order_ideals,
@@ -139,22 +138,6 @@ def build_hr(family: RelationFamily) -> MonomialIdeal:
             "chain -> monomial map failed to be injective; generators collide"
         )
     return MonomialIdeal(r, n, masks)
-
-
-def chain_compare(chain_j, chain_i) -> str:
-    """Componentwise-inclusion verdict: less, greater, equal or incomparable."""
-    chain_j, chain_i = tuple(chain_j), tuple(chain_i)
-    if len(chain_j) != len(chain_i):
-        raise ChainError("cannot compare chains of different lengths")
-    if chain_j == chain_i:
-        return "equal"
-    j_below = all(a & ~b == 0 for a, b in zip(chain_j, chain_i))
-    i_below = all(b & ~a == 0 for a, b in zip(chain_j, chain_i))
-    if j_below:
-        return "less"
-    if i_below:
-        return "greater"
-    return "incomparable"
 
 
 @dataclass(frozen=True)
@@ -429,27 +412,3 @@ def gamma_chain(family: RelationFamily, fset) -> tuple[int, ...]:
     chain = tuple(gammas[: r - 1])
     return validate_chain(family, chain)
 
-
-def gamma_certificate(
-    family: RelationFamily, fset, a: int, i: int
-) -> tuple[int, int] | None:
-    """Why p_i landed in gamma_a: a variable (b, j) in fset reaching it.
-
-    Returns (b, j) with a+1 <= b <= r, (b, j) in fset and p_i related to p_j
-    through levels a..b-1; None when p_i is not in gamma_a at all.  Raises
-    when p_i is in gamma_a but no certificate exists, since the construction
-    guarantees one.
-    """
-    chain = gamma_chain(family, fset)
-    if not 1 <= a <= family.r - 1:
-        raise RangeError(f"level {a} out of range 1..{family.r - 1}")
-    if not chain[a - 1] >> (i - 1) & 1:
-        return None
-    fvars = sorted(set(fset))
-    for b, rows in enumerate(composite_rows(family, a), start=a + 1):
-        for bb, j in fvars:
-            if bb == b and rows[i - 1] >> (j - 1) & 1:
-                return (b, j)
-    raise InternalMismatchError(
-        f"p_{i} is in gamma_{a} but no generating variable reaches it"
-    )

@@ -375,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--field",
         default="gf2",
-        help="coefficient field: gf2, rational or gfp:<p> with p an odd prime",
+        help="coefficient field: gf2, rational or gfp:<p> with p an odd prime below 2**64",
     )
     p.add_argument(
         "--budget-faces",

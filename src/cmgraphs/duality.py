@@ -167,17 +167,6 @@ def _maximal_independent_subsets(closed: list[int], cand: int) -> list[int]:
     return facets
 
 
-def vertex_label_str(label) -> str:
-    if isinstance(label, tuple) and len(label) == 2:
-        return f"X[{label[0]},{label[1]}]"
-    return str(label)
-
-
-def _face_str(vertices, mask: int) -> str:
-    names = [vertex_label_str(vertices[k]) for k in range(len(vertices)) if mask >> k & 1]
-    return "{" + ",".join(names) + "}"
-
-
 @dataclass(frozen=True)
 class SimplicialComplex:
     """Facet list over an explicit vertex tuple; faces are subsets of facets.
@@ -248,12 +237,6 @@ class SimplicialComplex:
             tuple(v for k, v in enumerate(self.vertices) if f >> k & 1)
             for f in self.facets
         ]
-
-    def __str__(self) -> str:
-        if self.is_void():
-            return "void complex"
-        body = ", ".join(_face_str(self.vertices, f) for f in self.facets)
-        return f"<{body}>"
 
 
 def grid_vertices(r: int, n: int) -> tuple:

@@ -34,7 +34,6 @@ from .posets import (
     composite_relation,
     members,
     reach_pairs,
-    read_json,
 )
 
 Vertex = tuple  # (level, index), 1-based
@@ -70,10 +69,6 @@ class MultipartiteGraph:
             if e != _canonical_edge(*e):
                 raise RangeError(f"edge {e!r} is not in canonical vertex order")
 
-    @classmethod
-    def from_edges(cls, r: int, n: int, edges) -> MultipartiteGraph:
-        return cls(r, n, frozenset(_canonical_edge(tuple(u), tuple(v)) for u, v in edges))
-
     @cached_property
     def nbr(self) -> tuple[int, ...]:
         """Neighbourhood masks in slot layout: bit slot(b, j) of nbr[slot(a, i)]
@@ -85,16 +80,6 @@ class MultipartiteGraph:
             nbr[u] |= 1 << v
             nbr[v] |= 1 << u
         return tuple(nbr)
-
-    def has_edge(self, u, v) -> bool:
-        (a, i), (b, j) = u, v
-        r, n = self.r, self.n
-        if not (1 <= a <= r and 1 <= b <= r and 1 <= i <= n and 1 <= j <= n):
-            return False
-        return bool(self.nbr[slot(a, i, n)] >> slot(b, j, n) & 1)
-
-    def vertices(self) -> tuple:
-        return grid_vertices(self.r, self.n)
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
@@ -336,7 +321,7 @@ def check_family_conditions(family: RelationFamily) -> ConditionReport:
     bwd = {(b, j): _backward_reach(family, b, j) for b in levels for j in range(1, n + 1)}
     for a in levels:
         for b in range(a, family.r):
-            rel = composite_relation(family, a, b).rel
+            rel = composite_relation(family, a, b)
             w = rel.monotonicity_witness()
             if w is not None:
                 comp_witnesses.append(("window", a, b, "not-index-monotone", w))
@@ -592,10 +577,6 @@ def graph_to_dict(graph: MultipartiteGraph) -> dict:
         "n": graph.n,
         "edges": [[list(u), list(v)] for u, v in graph.sorted_edges()],
     }
-
-
-def load_graph(path) -> MultipartiteGraph:
-    return graph_from_dict(read_json(path))
 
 
 def graph_to_dot(graph: MultipartiteGraph) -> str:

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import InputError, ParseError, RangeError
+from .errors import ParseError, RangeError
 
 _FACTOR_RE = re.compile(r"X\[\s*(\d+)\s*,\s*(\d+)\s*\]")
 
@@ -51,40 +51,10 @@ class Monomial:
     def has_variable(self, a: int, i: int) -> bool:
         return bool(self.mask >> slot(a, i, self.n) & 1)
 
-    def divides(self, other: Monomial) -> bool:
-        self._check_ring(other)
-        return self.mask & ~other.mask == 0
-
-    def quotient_generator(self, other: Monomial) -> Monomial:
-        """Variables of self not dividing other; the colon-ideal generator.
-
-        For squarefree monomials u, v the ideal quotient (v) : u is
-        generated by v / gcd(u, v), whose support is v's support minus u's.
-        """
-        self._check_ring(other)
-        return Monomial(self.r, self.n, self.mask & ~other.mask)
-
-    def _check_ring(self, other: Monomial) -> None:
-        if (self.r, self.n) != (other.r, other.n):
-            raise RangeError(
-                f"monomials live in different rings: ({self.r},{self.n}) vs ({other.r},{other.n})"
-            )
-
     def __str__(self) -> str:
         if not self.mask:
             return "1"
         return "*".join(f"X[{a},{i}]" for a, i in self.variables())
-
-    @classmethod
-    def from_variables(cls, r: int, n: int, variables) -> Monomial:
-        mask = 0
-        for a, i in variables:
-            if not 1 <= a <= r:
-                raise RangeError(f"part index {a} out of range 1..{r}")
-            if not 1 <= i <= n:
-                raise RangeError(f"element index {i} out of range 1..{n}")
-            mask |= 1 << slot(a, i, n)
-        return cls(r, n, mask)
 
 
 def parse_monomial(text: str, r: int, n: int) -> Monomial:
@@ -141,9 +111,6 @@ class MonomialIdeal:
     def gens(self) -> tuple[Monomial, ...]:
         return tuple(Monomial(self.r, self.n, m) for m in self.gen_masks)
 
-    def is_zero(self) -> bool:
-        return not self.gen_masks
-
     def is_unit(self) -> bool:
         """Whether the empty monomial generates, i.e. the ideal is the whole ring."""
         return 0 in self.gen_masks
@@ -166,43 +133,3 @@ def minimalize(masks, r: int, n: int) -> MonomialIdeal:
         if not any(k & ~m == 0 for k in kept):
             kept.append(m)
     return MonomialIdeal(r, n, kept)
-
-
-# ---------------------------------------------------------------------------
-# ideal file I/O: one monomial per line, '#' starts a comment, blank lines
-# ignored.  The header comment records the ring size so files are
-# self-describing, but r and n passed by the caller win.
-# ---------------------------------------------------------------------------
-
-
-def format_ideal_lines(ideal: MonomialIdeal) -> str:
-    lines = [f"# ring: r={ideal.r} n={ideal.n} ({ideal.r * ideal.n} variables)"]
-    lines += [str(g) for g in ideal.gens]
-    return "\n".join(lines) + "\n"
-
-
-def parse_ideal_lines(text: str, r: int, n: int) -> MonomialIdeal:
-    gens = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            gens.append(parse_monomial(line, r, n))
-        except ParseError as exc:
-            raise ParseError(f"line {lineno}: {exc.message}") from None
-    return MonomialIdeal(r, n, (g.mask for g in gens))
-
-
-def write_ideal(path, ideal: MonomialIdeal) -> None:
-    with open(path, "w") as fh:
-        fh.write(format_ideal_lines(ideal))
-
-
-def read_ideal(path, r: int, n: int) -> MonomialIdeal:
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read ideal file {path}: {exc}") from None
-    return parse_ideal_lines(text, r, n)

@@ -27,14 +27,6 @@ from .errors import (
 )
 
 
-def mask_of(members) -> int:
-    """Bitmask of a collection of 1-based indices."""
-    m = 0
-    for i in members:
-        m |= 1 << (i - 1)
-    return m
-
-
 def members(mask: int) -> tuple[int, ...]:
     """1-based indices of a bitmask, ascending."""
     out = []
@@ -162,11 +154,6 @@ def _check_n(n: int) -> None:
 def _check_index(i, n: int) -> None:
     if type(i) is not int or not 1 <= i <= n:
         raise RangeError(f"element index {i!r} out of range 1..{n}")
-
-
-def identity_relation(n: int) -> Relation:
-    _check_n(n)
-    return Relation(n, tuple(1 << i for i in range(n)))
 
 
 def close_relation(n: int, pairs) -> Relation:
@@ -308,19 +295,6 @@ class RelationFamily:
         return cls(n, r, levels)
 
 
-@dataclass(frozen=True)
-class CompositeRelation:
-    """The relation reachable through consecutive levels a..b of a family.
-
-    Reflexive, antisymmetric and index-monotone, but in general not
-    transitive, so not necessarily a poset.
-    """
-
-    a: int
-    b: int
-    rel: Relation
-
-
 def composite_rows(family: RelationFamily, a: int):
     """Rows of the composite relations of the windows a..a, a..a+1, ..., a..r-1.
 
@@ -340,14 +314,17 @@ def composite_rows(family: RelationFamily, a: int):
         yield rows
 
 
-def composite_relation(family: RelationFamily, a: int, b: int) -> CompositeRelation:
-    """Compose the level relations a, a+1, ..., b (see :func:`composite_rows`)."""
+def composite_relation(family: RelationFamily, a: int, b: int) -> Relation:
+    """Compose the level relations a, a+1, ..., b (see :func:`composite_rows`).
+
+    Reflexive, antisymmetric and index-monotone, but not always transitive.
+    """
     if not 1 <= a <= b <= family.r - 1:
         raise LevelError(
             f"level window [{a},{b}] out of range 1 <= a <= b <= {family.r - 1}"
         )
     rows = next(islice(composite_rows(family, a), b - a, None))
-    return CompositeRelation(a, b, Relation(family.n, rows))
+    return Relation(family.n, rows)
 
 
 def reach_pairs(family: RelationFamily):

@@ -301,10 +301,10 @@ def criterion_4_composite_relation() -> tuple[bool, str]:
     """The sample family's two-level composite: exact pairs, transitivity broken."""
     fam = sample_family()
     comp = composite_relation(fam, 1, 2)
-    got = comp.rel.pairs()
+    got = comp.pairs()
     if got != SAMPLE_COMPOSITE_12:
         return (False, f"composite pairs {got} != expected {SAMPLE_COMPOSITE_12}")
-    w = comp.rel.transitivity_witness()
+    w = comp.transitivity_witness()
     if w != (1, 2, 3):
         return (False, f"expected transitivity to fail at (1,2,3), got {w}")
     return (True, "pairs match, non-transitivity witnessed at (1,2,3)")

@@ -11,8 +11,16 @@ from itertools import combinations
 
 import pytest
 
-from cmgraphs import Monomial, MonomialIdeal, Relation, RelationFamily, SimplicialComplex
+from cmgraphs import (
+    Monomial,
+    MonomialIdeal,
+    MultipartiteGraph,
+    Relation,
+    RelationFamily,
+    SimplicialComplex,
+)
 from cmgraphs.graphs import graph_to_dict
+from cmgraphs.monomials import slot
 from cmgraphs.posets import family_to_dict
 
 
@@ -60,7 +68,31 @@ def lcm(u: Monomial, v: Monomial) -> Monomial:
 
 
 def contains_monomial(ideal: MonomialIdeal, mono: Monomial) -> bool:
-    return any(g.divides(mono) for g in ideal.gens)
+    return any(g & ~mono.mask == 0 for g in ideal.masks())
+
+
+def mono(r: int, n: int, *variables) -> Monomial:
+    """The monomial of some (level, index) variables, one bit per slot."""
+    mask = 0
+    for a, i in variables:
+        mask |= 1 << slot(a, i, n)
+    return Monomial(r, n, mask)
+
+
+def graph_of_edges(r: int, n: int, edges) -> MultipartiteGraph:
+    """The graph of some label-pair edges, each given in either vertex order."""
+    pairs = (sorted((tuple(u), tuple(v))) for u, v in edges)
+    return MultipartiteGraph(r, n, frozenset(tuple(pair) for pair in pairs))
+
+
+def adjacent(graph: MultipartiteGraph, u, v) -> bool:
+    """Whether grid vertices u and v are joined, read off the neighbourhood masks."""
+    return bool(graph.nbr[slot(*u, graph.n)] >> slot(*v, graph.n) & 1)
+
+
+def below(chain_j, chain_i) -> bool:
+    """Whether chain_j lies strictly below chain_i under componentwise inclusion."""
+    return chain_j != chain_i and all(a & ~b == 0 for a, b in zip(chain_j, chain_i))
 
 
 @pytest.fixture

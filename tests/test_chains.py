@@ -5,6 +5,7 @@ from itertools import permutations
 
 import pytest
 
+from conftest import below, mono
 from cmgraphs import (
     ChainError,
     DegreeError,
@@ -12,7 +13,6 @@ from cmgraphs import (
     RangeError,
     RelationFamily,
     build_hr,
-    chain_compare,
     chain_monomial,
     check_all_extensions,
     check_linear_quotients,
@@ -20,7 +20,6 @@ from cmgraphs import (
     edge_ideal,
     enumerate_chains,
     find_linear_quotients_order,
-    gamma_certificate,
     gamma_chain,
     graph_of_family,
     linear_extension,
@@ -28,6 +27,7 @@ from cmgraphs import (
     random_linear_extension,
     witness_extension,
 )
+from cmgraphs.posets import composite_rows
 from cmgraphs.verification import random_family
 
 # All 15 nested ideal chains of the worked example, in the enumeration order
@@ -134,21 +134,12 @@ def test_chain_monomials_injective_on_random_families():
         assert len(masks) == len(chains)
 
 
-def test_chain_compare_verdicts():
-    assert chain_compare((0b001, 0b001), (0b011, 0b001)) == "less"
-    assert chain_compare((0b011, 0b001), (0b001, 0b001)) == "greater"
-    assert chain_compare((0b011, 0b001), (0b011, 0b001)) == "equal"
-    assert chain_compare((0b001, 0b000), (0b010, 0b000)) == "incomparable"
-    with pytest.raises(ChainError):
-        chain_compare((0b001,), (0b001, 0b000))
-
-
 def assert_respects_inclusion(order):
     """No chain of the order lies componentwise below an earlier one."""
     pos = {c: k for k, c in enumerate(order.chains)}
     for cj in order.chains:
         for ci in order.chains:
-            if chain_compare(cj, ci) == "less":
+            if below(cj, ci):
                 assert pos[cj] < pos[ci]
 
 
@@ -277,12 +268,12 @@ def every_extension_passes(fam, chains):
     extends componentwise inclusion, the orderings listed one by one."""
     masks = [chain_monomial(fam, c).mask for c in chains]
     m = len(chains)
-    below = [
-        {j for j in range(m) if chain_compare(chains[j], chains[k]) == "less"}
+    lower = [
+        {j for j in range(m) if below(chains[j], chains[k])}
         for k in range(m)
     ]
     for perm in permutations(range(m)):
-        if all(below[k] <= set(perm[:pos]) for pos, k in enumerate(perm)):
+        if all(lower[k] <= set(perm[:pos]) for pos, k in enumerate(perm)):
             if lq_reference([masks[k] for k in perm]) is not None:
                 return False
     return True
@@ -351,16 +342,16 @@ def test_linear_quotients_on_the_five_by_six_identity_grid():
 def test_linear_quotients_failure_witness():
     # two disjoint quadratics: the colon ideal of the second by the first is
     # not variable-generated, so the very first pair is the witness
-    u = Monomial.from_variables(2, 2, [(1, 1), (1, 2)])
-    v = Monomial.from_variables(2, 2, [(2, 1), (2, 2)])
+    u = mono(2, 2, (1, 1), (1, 2))
+    v = mono(2, 2, (2, 1), (2, 2))
     verdict = check_linear_quotients([u, v])
     assert not verdict.passed
     assert verdict.witness == (1, 2)
 
 
 def test_linear_quotients_requires_equal_degrees():
-    u = Monomial.from_variables(2, 2, [(1, 1)])
-    v = Monomial.from_variables(2, 2, [(2, 1), (2, 2)])
+    u = mono(2, 2, (1, 1))
+    v = mono(2, 2, (2, 1), (2, 2))
     message = r"generators are not equigenerated: degrees \[1, 2\]"
     with pytest.raises(DegreeError, match=message):
         check_linear_quotients([u, v])
@@ -384,8 +375,8 @@ def test_find_order_on_sample_ideal_and_graph(sample):
 
 
 def test_find_order_returns_none_when_impossible():
-    u = Monomial.from_variables(2, 2, [(1, 1), (1, 2)])
-    v = Monomial.from_variables(2, 2, [(2, 1), (2, 2)])
+    u = mono(2, 2, (1, 1), (1, 2))
+    v = mono(2, 2, (2, 1), (2, 2))
     from cmgraphs import minimalize
 
     assert find_linear_quotients_order(minimalize([u.mask, v.mask], 2, 2)) is None
@@ -407,6 +398,16 @@ def test_gamma_chain_bounds(sample):
         gamma_chain(sample, [(2, 0)])
 
 
+def reached_from(fam, fset, a: int, i: int) -> bool:
+    """Whether p_i reaches p_j through levels a..b-1 for some (b, j) in fset
+    with b > a: the membership rule of gamma_a, read off the composite rows."""
+    return any(
+        (b, j) in fset and rows[i - 1] >> (j - 1) & 1
+        for b, rows in enumerate(composite_rows(fam, a), start=a + 1)
+        for j in range(1, fam.n + 1)
+    )
+
+
 def test_gamma_is_nested_and_certified_on_random_families():
     rng = random.Random(505)
     for _ in range(15):
@@ -423,10 +424,4 @@ def test_gamma_is_nested_and_certified_on_random_families():
             assert chain[a + 1] & ~chain[a] == 0  # nested downward
         for a in range(1, r):
             for i in range(1, n + 1):
-                cert = gamma_certificate(fam, fset, a, i)
-                if chain[a - 1] >> (i - 1) & 1:
-                    assert cert is not None
-                    b, j = cert
-                    assert a + 1 <= b <= r and (b, j) in fset
-                else:
-                    assert cert is None
+                assert bool(chain[a - 1] >> (i - 1) & 1) == reached_from(fam, set(fset), a, i)

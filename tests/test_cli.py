@@ -2,8 +2,10 @@
 
 import json
 import random
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -24,6 +26,7 @@ from cmgraphs.graphs import build_complete_multipartite, cycle_graph, graph_of_f
 from cmgraphs.posets import family_to_dict
 
 R7_FAMILY = Path(__file__).parent / "data" / "family_r7_n7.json"
+README = Path(__file__).parent.parent / "README.md"
 
 
 @pytest.fixture
@@ -272,6 +275,19 @@ def test_cm_field_flag(capsys, graph_file):
         assert "E_SIZE" not in err
 
 
+def test_graph_cm_over_a_60_bit_prime_is_quick(capsys, sample_path):
+    # primality of the modulus is a Miller-Rabin test, not trial division to
+    # its square root
+    started = time.perf_counter()
+    rc, out, _ = run(capsys, "graph", "cm", sample_path, "--field", "gfp:1000000000000000003")
+    assert time.perf_counter() - started < 1.0
+    assert rc == 0
+    assert "Cohen-Macaulay over gfp:1000000000000000003: yes" in out
+    rc, _, err = run(capsys, "graph", "cm", sample_path, "--field", f"gfp:{2**64 + 13}")
+    assert rc == 2
+    assert "E_PARSE: gfp takes a modulus below 2**64" in err
+
+
 def test_identity_grid_of_25_vertices(capsys, write_json):
     # the 5x5 identity family: Ind(G) has one facet per chain, 5^5 of them
     path = write_json({"n": 5, "r": 5, "relations": []})
@@ -465,3 +481,10 @@ def test_closed_stdout_pipe_exits_141(write_json):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert b"Traceback" not in err
+
+
+def test_the_readme_library_example_runs():
+    # the one python block of the README, as CI's runtime-only job runs it
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})

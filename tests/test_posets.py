@@ -15,7 +15,6 @@ from cmgraphs import (
     close_relation,
     composite_relation,
     composite_rows,
-    identity_relation,
     is_order_ideal,
     load_family,
     order_ideals,
@@ -25,7 +24,6 @@ from cmgraphs.posets import (
     _transpose,
     family_from_dict,
     family_to_dict,
-    mask_of,
     members,
     validate_chain,
 )
@@ -38,7 +36,6 @@ LEVEL2_IDEALS = (0b000, 0b001, 0b100, 0b011, 0b101, 0b111)
 
 
 def test_mask_helpers_roundtrip():
-    assert mask_of([1, 3]) == 0b101
     assert members(0b101) == (1, 3)
     assert members(0) == ()
 
@@ -85,7 +82,7 @@ def test_close_relation_rejects_malformed_pair():
 
 
 def test_identity_relation_ideals_are_all_subsets():
-    rel = identity_relation(3)
+    rel = close_relation(3, ())
     assert len(order_ideals(rel)) == 8
 
 
@@ -150,26 +147,26 @@ def test_family_level_access_bounds(sample):
 
 def test_family_from_pairs_defaults_missing_levels_to_identity():
     fam = RelationFamily.from_pairs(2, 4, {2: [(1, 2)]})
-    assert fam.level(1).pairs() == identity_relation(2).pairs()
-    assert fam.level(3).pairs() == identity_relation(2).pairs()
+    assert fam.level(1).pairs() == close_relation(2, ()).pairs()
+    assert fam.level(3).pairs() == close_relation(2, ()).pairs()
     assert fam.level(2).holds(1, 2)
 
 
 def test_composite_relation_matches_frozen_pairs(sample):
     comp = composite_relation(sample, 1, 2)
-    assert comp.rel.pairs() == ((1, 1), (1, 2), (2, 2), (2, 3), (3, 3))
+    assert comp.pairs() == ((1, 1), (1, 2), (2, 2), (2, 3), (3, 3))
 
 
 def test_composite_relation_can_fail_transitivity(sample):
     # p1 reaches p2 and p2 reaches p3, but no two-step route joins p1 to p3
     comp = composite_relation(sample, 1, 2)
-    assert comp.rel.transitivity_witness() == (1, 2, 3)
-    assert not comp.rel.holds(1, 3)
+    assert comp.transitivity_witness() == (1, 2, 3)
+    assert not comp.holds(1, 3)
 
 
 def test_composite_single_level_is_that_level(sample):
     comp = composite_relation(sample, 1, 1)
-    assert comp.rel.pairs() == sample.level(1).pairs()
+    assert comp.pairs() == sample.level(1).pairs()
 
 
 def test_composite_relation_window_bounds(sample):
@@ -187,7 +184,7 @@ def test_composite_reflexive_antisymmetric_monotone_on_random_families():
         fam = random_family(rng, max_n=6, max_r=5)
         for a in range(1, fam.r):
             for b in range(a, fam.r):
-                rel = composite_relation(fam, a, b).rel
+                rel = composite_relation(fam, a, b)
                 assert rel.is_reflexive()
                 assert rel.antisymmetry_witness() is None
                 assert rel.monotonicity_witness() is None
@@ -199,12 +196,12 @@ def test_composite_grows_with_the_window():
     for _ in range(20):
         fam = random_family(rng, max_n=5, max_r=5)
         for a in range(1, fam.r):
-            prev = set(composite_relation(fam, a, a).rel.pairs())
+            prev = set(composite_relation(fam, a, a).pairs())
             windows = list(composite_rows(fam, a))
             assert len(windows) == fam.r - a
             assert windows[0] == fam.level(a).rows
             for b in range(a + 1, fam.r):
-                cur = set(composite_relation(fam, a, b).rel.pairs())
+                cur = set(composite_relation(fam, a, b).pairs())
                 assert prev <= cur
                 assert set(Relation(fam.n, windows[b - a]).pairs()) == cur
                 prev = cur
@@ -271,8 +268,8 @@ def test_load_family_reads_sample(sample, family_file):
 def test_load_family_defaults_missing_levels(write_json):
     path = write_json({"n": 2, "r": 3, "relations": []})
     fam = load_family(path)
-    assert fam.level(1).pairs() == identity_relation(2).pairs()
-    assert fam.level(2).pairs() == identity_relation(2).pairs()
+    assert fam.level(1).pairs() == close_relation(2, ()).pairs()
+    assert fam.level(2).pairs() == close_relation(2, ()).pairs()
 
 
 def test_load_family_rejects_garbage(tmp_path, write_json):

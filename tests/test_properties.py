@@ -11,9 +11,16 @@ complements of Berge's minimal transversals, the graph walk and the face
 walk give r-partite graphs one CM verdict and witness, so do the graph an
 independence complex records and the one derived from its facets, and an
 r-partite graph that a plain decomposition by dominated vertices
-certifies pure is CM by both, of that facet size."""
+certifies pure is CM by both, of that facet size.
+Generated documents: no mutated family or graph file makes a CLI verb
+raise; each exits 0, 1 or 2 with a coded error."""
 
+import io
+import json
+import os
 import random
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -21,7 +28,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from conftest import make_complex  # noqa: E402
+from conftest import below, make_complex  # noqa: E402
 from cmgraphs import (  # noqa: E402
     GF2,
     RATIONAL,
@@ -31,7 +38,6 @@ from cmgraphs import (  # noqa: E402
     SimplicialComplex,
     alexander_dual_complex,
     build_hr,
-    chain_compare,
     chain_monomial,
     complex_of_ideal,
     dual_hr_fast,
@@ -48,6 +54,7 @@ from cmgraphs import (  # noqa: E402
     random_linear_extension,
 )
 from cmgraphs.chains import _pack, _predecessors  # noqa: E402
+from cmgraphs.cli import main  # noqa: E402
 from cmgraphs.duality import _minimal_transversals  # noqa: E402
 from cmgraphs.monomials import sort_gens  # noqa: E402
 from cmgraphs.posets import Relation, _union_of_rows, is_order_ideal  # noqa: E402
@@ -83,7 +90,7 @@ def test_duals_agree_and_orders_extend_inclusion(fam, seed):
         pos = {c: k for k, c in enumerate(order.chains)}
         for cj in order.chains:
             for ci in order.chains:
-                if chain_compare(cj, ci) == "less":
+                if below(cj, ci):
                     assert pos[cj] < pos[ci]
 
 
@@ -334,16 +341,9 @@ def test_is_order_ideal_matches_the_row_definition(case):
 def kahn_on_successors(chains, rng):
     """The random Kahn walk over every strict successor, not only covers."""
     m = len(chains)
-    below = [
-        [
-            j
-            for j in range(m)
-            if chains[j] != chains[k] and all(a & ~b == 0 for a, b in zip(chains[j], chains[k]))
-        ]
-        for k in range(m)
-    ]
-    succs = [[k for k in range(m) if j in below[k]] for j in range(m)]
-    counts = [len(b) for b in below]
+    lower = [[j for j in range(m) if below(chains[j], chains[k])] for k in range(m)]
+    succs = [[k for k in range(m) if j in lower[k]] for j in range(m)]
+    counts = [len(b) for b in lower]
     ready = [k for k in range(m) if not counts[k]]
     order = []
     while ready:
@@ -372,3 +372,100 @@ def test_random_extension_walks_covers_to_the_successor_walk_order(fam, seed, re
     )
     got = random_linear_extension(chains, random.Random(seed)).chains
     assert got == kahn_on_successors(chains, random.Random(seed))
+
+
+# A value a mutation puts in place of another.  Its integers are at most 2,
+# so a mutated size stays within the drawn ones: order_ideals scans at most
+# 2^5 masks, and a graph keeps at most 12 vertices, since a negative CM
+# verdict walks every face of Ind(G), 2^k of them for k isolated vertices.
+JUNK = st.one_of(
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=4),
+    st.integers(-3, -1),
+    st.none(),
+    st.recursive(st.integers(-1, 2), lambda inner: st.lists(inner, max_size=3), max_leaves=6),
+)
+
+
+def _slots_by_depth(doc):
+    """Every (container, key) of a JSON document, its dict keys and list
+    indices, grouped by depth: the top-level keys first."""
+    levels, nodes = [], [doc]
+    while nodes:
+        level = [
+            (node, key)
+            for node in nodes
+            if isinstance(node, (dict, list))
+            for key in (node if isinstance(node, dict) else range(len(node)))
+        ]
+        if level:
+            levels.append(level)
+        nodes = [node[key] for node, key in level]
+    return levels
+
+
+@st.composite
+def mutated_documents(draw):
+    """A family document with n <= 5 and r <= 4, or a graph document on at
+    most 12 vertices, then one or two values replaced by junk or keys dropped."""
+    family = draw(st.booleans())
+    r = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 5 if family else min(5, 12 // r)))
+    if family:
+        cover = [[i, j] for i in range(1, n + 1) for j in range(i + 1, n + 1)] or [[1, 1]]
+        pairs = st.lists(st.sampled_from(cover).map(list), max_size=3)
+        relations = [{"level": a, "pairs": draw(pairs)} for a in range(1, r)]
+        doc = {"n": n, "r": r, "relations": relations}
+    else:
+        ends = [
+            [[a, i], [b, j]]
+            for a in range(1, r + 1)
+            for b in range(a + 1, r + 1)
+            for i in range(1, n + 1)
+            for j in range(1, n + 1)
+        ]
+        edges = st.lists(st.sampled_from(ends).map(lambda e: [list(e[0]), list(e[1])]), max_size=8)
+        doc = {"r": r, "n": n, "edges": draw(edges)}
+    for _ in range(draw(st.integers(1, 2))):
+        # half the mutations hit a top-level value, the rest a depth and then
+        # a slot there, so the few values read first are hit as often as the
+        # many indices deep in the lists
+        levels = _slots_by_depth(doc)
+        if not levels:
+            break
+        level = levels[0] if draw(st.booleans()) else draw(st.sampled_from(levels))
+        node, key = draw(st.sampled_from(level))
+        if isinstance(node, dict) and draw(st.integers(0, 2)) == 0:
+            del node[key]
+        else:
+            node[key] = draw(JUNK)
+    return doc
+
+
+CLI_VERBS = (
+    ("ideals",),
+    ("hr", "build"),
+    ("dual", "--verify"),
+    ("graph", "build"),
+    ("graph", "check", "--which", "thm1"),
+    ("graph", "cm"),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(mutated_documents())
+def test_no_document_makes_the_cli_raise(doc):
+    # every verb either answers (0 or 1) or refuses the input with a coded
+    # error (2); none raises, and none finds two routes disagreeing (3)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        for verb in CLI_VERBS:
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                rc = main([*verb, path])
+            assert rc in (0, 1, 2), (verb, doc, err.getvalue())
+            if rc == 2:
+                assert err.getvalue().startswith("error: E_"), (verb, doc, err.getvalue())
