@@ -65,8 +65,11 @@ no boundary rank; C5, CM with no dominated vertex, reaches the homology.
 The face walk (_cm_by_faces) takes every other complex: non-flag ones, {∅},
 and those with a vertex in no facet.  It also gives the witness of every
 negative verdict, the least offending face by labels, so both routes report
-the same witness.  It enumerates the complex's faces once and walks them
-level by level along the parent relation: with v the lowest vertex of F,
+the same witness.  It first takes off the cone points, the vertices every
+facet holds: a face that misses one has a cone for a link, so the walk runs
+on the link of all of them, and each witness found there is mapped back by
+adding them.  It enumerates that link's faces once and walks them level
+by level along the parent relation: with v the lowest vertex of F,
 the link of F is read off the parent's link as the facets (and faces) that
 contain v, with v removed.  No link is found by scanning the facets of the
 complex, and no link's face lattice is enumerated again: a link's faces are
@@ -218,8 +221,10 @@ def _faces_by_dim(facets, face_budget: int) -> list[list[int]]:
     Index 0 of the result holds dimension -1 (the empty face); a void facet
     list gives no faces at all.  Each face is listed once, as a child of its
     parent, the face less its lowest vertex: the children of F add one vertex
-    below F's lowest, taken from a facet that contains F, and the facets
-    containing each face are kept for one level.  Raises when one facet alone
+    below F's lowest, taken from a facet that contains F.  The facets
+    containing each face are kept for one level as a mask over facet
+    positions, and a child's mask is its parent's ANDed with the transposed
+    facet column of the vertex it adds.  Raises when one facet alone
     has more subsets than the budget, and otherwise as soon as the faces
     counted so far pass it.
     """
@@ -229,17 +234,18 @@ def _faces_by_dim(facets, face_budget: int) -> list[list[int]]:
     largest = 1 << max(f.bit_count() for f in facets)
     if largest > face_budget:
         raise SizeBudgetError(f"{largest} faces exceed the budget of {face_budget}")
+    # bit k of cols[v] is set when facets[k] holds vertex v
+    cols = _transpose(max(facets).bit_length(), facets)
     by_dim = [[0]]
     count = 1
-    # face -> the facets that contain it, for the faces of one size
-    level: dict[int, list[int]] = {0: facets}
+    # face -> the facets that contain it, as a mask over facet positions,
+    # for the faces of one size
+    level = {0: (1 << len(facets)) - 1}
     while level:
-        children: dict[int, list[int]] = {}
-        for face, containing in level.items():
-            free = 0
-            for f in containing:
-                free |= f
-            free &= (face & -face) - 1  # all of it for the empty face
+        children: dict[int, int] = {}
+        for face, cont in level.items():
+            # all of it for the empty face
+            free = _union_of_rows(facets, cont) & ((face & -face) - 1)
             count += free.bit_count()
             if count > face_budget:
                 raise SizeBudgetError(
@@ -248,7 +254,7 @@ def _faces_by_dim(facets, face_budget: int) -> list[list[int]]:
             while free:
                 v = free & -free
                 free ^= v
-                children[face | v] = [f for f in containing if f & v]
+                children[face | v] = cont & cols[v.bit_length() - 1]
         if children:
             by_dim.append(sorted(children))
         level = children
@@ -585,9 +591,48 @@ def _cm_by_faces(
     link of dimension at most 0 can hold no witness: that needs a nonzero
     rank at some d below the dimension, so at d = -1, and rank(-1) is 0 for
     every nonempty complex.
+
+    Cone points are taken off first.  With Z the vertices every facet holds,
+    a face F that misses some z in Z has a link whose facets all hold z, a
+    cone, so only faces holding Z can be witnesses, and lk(F' + Z) is the
+    link of F' in lk(Z).  The walk therefore runs on lk(Z), which has no
+    cone point, and its witnesses of the first failing size come back as
+    F' + Z; the least by (size, labels, dimension) on the complex itself is
+    taken again, since adding Z's labels can change the order of the labels.
+    So the faces walked do not double with each cone point.
     """
     if cx.is_void():
         raise ValueError("the void complex has no Cohen-Macaulay verdict")
+    apex = cx.facets[0]
+    for f in cx.facets:
+        apex &= f
+    if apex:
+        base = link(cx, apex)
+        # bit k of a face of lk(Z) is the complex's vertex keep[k]
+        keep = [k for k in range(len(cx.vertices)) if not apex >> k & 1]
+        witnesses = [
+            (_remap_bits(face_mask, keep) | apex, d, h)
+            for face_mask, d, h in _face_walk_witnesses(base, field, face_budget)
+        ]
+    else:
+        witnesses = _face_walk_witnesses(cx, field, face_budget)
+    if witnesses:
+        face_mask, d, h = min(
+            witnesses,
+            key=lambda w: (w[0].bit_count(), _labels_of(cx, w[0]), w[1]),
+        )
+        return CMCertificate(False, field, (_labels_of(cx, face_mask), d, h))
+    return _pure_certificate(cx, field)
+
+
+def _face_walk_witnesses(
+    cx: SimplicialComplex, field: FieldChoice, face_budget: int
+) -> list[tuple[int, int, int]]:
+    """Every (face mask, dimension, rank) that breaks Reisner's criterion
+    among the faces of the least size that has one; empty if none does.
+
+    The walk of _cm_by_faces on one nonvoid complex, its docstring says how.
+    """
     by_dim = _faces_by_dim(cx.facets, face_budget)
     root_facets = tuple(sorted(cx.facets, key=lambda m: (m.bit_count(), m)))
     # link facets -> the link's nonzero ranks ((d, h), ...) below its dimension
@@ -632,13 +677,7 @@ def _cm_by_faces(
                 witnesses.append((face_mask, d, h))
         if witnesses:  # a later bucket holds only larger faces
             break
-    if witnesses:
-        face_mask, d, h = min(
-            witnesses,
-            key=lambda w: (w[0].bit_count(), _labels_of(cx, w[0]), w[1]),
-        )
-        return CMCertificate(False, field, (_labels_of(cx, face_mask), d, h))
-    return _pure_certificate(cx, field)
+    return witnesses
 
 
 # ---------------------------------------------------------------------------

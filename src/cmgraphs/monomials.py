@@ -116,14 +116,27 @@ class MonomialIdeal:
         return 0 in self.gen_masks
 
 
+# _NREV[x] = 255 - (x with its 8 bits reversed): a byte holding a lower bit
+# maps below one that does not, first differing bit deciding
+_NREV = bytes(255 - sum((x >> k & 1) << (7 - k) for k in range(8)) for x in range(256))
+
+
 def sort_gens(masks) -> tuple[int, ...]:
-    # canonical order: degree, then lexicographic on the sorted variable tuple.
-    # Two supports of one degree first differ at the lowest slot of their
-    # symmetric difference, and the one holding it comes first; with the
-    # slots reversed over any common width that is the highest differing bit.
+    """Masks in the canonical order: degree, then lexicographic on the
+    sorted variable tuple.
+
+    Two supports of one degree first differ at the lowest slot of their
+    symmetric difference, and the one holding it comes first.  Packed
+    little-endian over a common byte width, the lowest slots sit in the
+    first byte, and _NREV makes a byte holding the lower of two differing
+    bits the smaller one, so the bytes compare in that order.  A second,
+    stable sort by degree keeps it within each degree.
+    """
     masks = list(masks)
-    width = max(masks, default=0).bit_length()
-    return tuple(sorted(masks, key=lambda m: (m.bit_count(), -int(f"{m:0{width}b}"[::-1], 2))))
+    nb = (max(masks, default=0).bit_length() + 7) >> 3
+    masks.sort(key=lambda m: m.to_bytes(nb, "little").translate(_NREV))
+    masks.sort(key=int.bit_count)
+    return tuple(masks)
 
 
 def minimalize(masks, r: int, n: int) -> MonomialIdeal:

@@ -284,17 +284,31 @@ def criterion_2_linear_quotients(families) -> tuple[bool, str]:
 
 
 def criterion_3_dual_oracles(families) -> tuple[bool, str]:
-    """The quadratic dual equals the complement-of-facets dual everywhere."""
+    """The quadratic dual and the edge ideal equal the complement-of-facets dual.
+
+    The paper's identity H_R^∨ = I(G_R), checked through two routes against
+    one brute-force dual per family: the quadratic rule (dual_hr_fast) and
+    the edge ideal of the r-partite graph.  Both share one composite sweep,
+    so each is compared with the complement-of-facets dual of build_hr,
+    which shares no code with either; the first family where a route
+    differs is named.
+    """
     fam = sample_family()
     fast = dual_hr_fast(fam)
     if {str(g) for g in fast.gens} != set(SAMPLE_DUAL_GENERATORS):
         return (False, "sample family dual generators differ from the frozen 13")
     for k, f in enumerate([fam, *families]):
-        fast = dual_hr_fast(f)
-        brute = dual_ideal_bruteforce(build_hr(f), grid_vertices(f.r, f.n))
-        if set(fast.masks()) != set(brute.masks()):
-            return (False, f"dual mismatch on family #{k} (n={f.n}, r={f.r})")
-    return (True, f"{len(families) + 1} families, both dual paths agree")
+        brute = set(dual_ideal_bruteforce(build_hr(f), grid_vertices(f.r, f.n)).masks())
+        where = f"family #{k} (n={f.n}, r={f.r})"
+        if set(dual_hr_fast(f).masks()) != brute:
+            return (False, f"quadratic rule != brute-force dual on {where}")
+        if set(edge_ideal(graph_of_family(f)).masks()) != brute:
+            return (False, f"edge ideal != brute-force dual on {where}")
+    return (
+        True,
+        f"{len(families) + 1} families, quadratic rule and edge ideal both equal "
+        "the brute-force dual",
+    )
 
 
 def criterion_4_composite_relation() -> tuple[bool, str]:
@@ -435,20 +449,17 @@ def criterion_7_resolution_certificates() -> tuple[bool, str]:
 
 
 def criterion_8_structural_identities(families, ideals) -> tuple[bool, str]:
-    """Edge ideal = brute-force dual; double dual = identity; rank guards exercised."""
+    """The sample graph's 13 edges; double dual = identity; rank guards exercised.
+
+    The families are not read here: the edge ideal of each family's graph
+    is compared with its dual in criterion 3, next to the quadratic rule,
+    against one brute-force dual.  The parameter keeps the criteria's
+    calling convention.
+    """
     problems = []
-    fam = sample_family()
-    g = graph_of_family(fam)
+    g = graph_of_family(sample_family())
     if len(g.edges) != 13:
         problems.append(f"sample graph has {len(g.edges)} edges, expected 13")
-    for k, f in enumerate([fam, *families]):
-        # graph_of_family and dual_hr_fast share one composite sweep, so the
-        # edge ideal is checked against the independent complement-of-facets dual
-        lhs = edge_ideal(graph_of_family(f))
-        rhs = dual_ideal_bruteforce(build_hr(f), grid_vertices(f.r, f.n))
-        if set(lhs.masks()) != set(rhs.masks()):
-            problems.append(f"edge ideal != dual on family #{k} (n={f.n}, r={f.r})")
-            break
     for k, ideal in enumerate(ideals):
         verts = grid_vertices(1, ideal.n)
         double = dual_ideal_bruteforce(dual_ideal_bruteforce(ideal, verts), verts)
@@ -463,7 +474,7 @@ def criterion_8_structural_identities(families, ideals) -> tuple[bool, str]:
     return (
         not problems,
         "; ".join(problems)
-        or f"{len(families) + 1} identities, {len(ideals)} double duals, rank guards ran",
+        or f"sample graph has 13 edges, {len(ideals)} double duals, rank guards ran",
     )
 
 

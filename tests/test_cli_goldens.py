@@ -17,6 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).parent / "data" / "cli"
 SAMPLE = str(ROOT / "src" / "cmgraphs" / "data" / "sample_family.json")
 CYCLE4 = str(DATA / "cycle4.json")
+CYCLE4_ISOLATED = str(DATA / "cycle4_isolated.json")
 VIOLATIONS = str(DATA / "thm1_violations.json")
 FAMILY_R7 = str(DATA.parent / "family_r7_n7.json")
 
@@ -38,6 +39,7 @@ GOLDENS = {
     "graph_cm.txt": ("graph", "cm", SAMPLE),
     "graph_cm_rational.json": ("graph", "cm", SAMPLE, "--field", "rational", "--format", "json"),
     "cycle4_graph_cm_witness.txt": ("graph", "cm", CYCLE4, "--witness"),
+    "cycle4_isolated_graph_cm_witness.txt": ("graph", "cm", CYCLE4_ISOLATED, "--witness"),
     "family_r7_n7_graph_cm.txt": ("graph", "cm", FAMILY_R7),
     "cycle4_graph_check_thm1.txt": ("graph", "check", CYCLE4, "--which", "thm1"),
     "cycle4_graph_check_thm2.txt": ("graph", "check", CYCLE4, "--which", "thm2"),

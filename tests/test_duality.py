@@ -21,7 +21,7 @@ from cmgraphs import (
     minimalize,
 )
 from cmgraphs import RelationFamily
-from cmgraphs import duality
+from cmgraphs import duality, verification
 from cmgraphs.duality import _maximal_independent_sets, _minimal_transversals
 from cmgraphs.graphs import MultipartiteGraph, independence_complex
 from cmgraphs.verification import random_family, random_squarefree_ideal
@@ -315,3 +315,30 @@ def test_dual_oracles_agree_on_sample_and_random_families(sample):
         fast = dual_hr_fast(fam)
         brute = dual_ideal_bruteforce(build_hr(fam), grid_vertices(fam.r, fam.n))
         assert set(fast.gens) == set(brute.gens)
+
+
+@pytest.mark.parametrize(
+    "route, message", [("edge_ideal", "edge ideal"), ("dual_hr_fast", "quadratic rule")]
+)
+def test_criterion_3_names_the_first_family_a_route_gets_wrong(monkeypatch, route, message):
+    # each route is compared with the one brute-force dual of its family: a
+    # route short of one generator on a single family fails criterion 3 there
+    rng = random.Random(3)
+    families = [random_family(rng, max_n=3, max_r=3) for _ in range(12)]
+    # no other family has this graph; #0 is the sample family, so it is #10
+    target = families[9]
+    # the route's argument: the family's graph, or the family itself
+    key = verification.graph_of_family if route == "edge_ideal" else lambda f: f
+    real = getattr(verification, route)
+
+    def one_short(arg):
+        ideal = real(arg)
+        if arg != key(target):
+            return ideal
+        return MonomialIdeal(ideal.r, ideal.n, ideal.masks()[1:])
+
+    assert verification.criterion_3_dual_oracles(families)[0]
+    monkeypatch.setattr(verification, route, one_short)
+    passed, detail = verification.criterion_3_dual_oracles(families)
+    assert not passed
+    assert detail == f"{message} != brute-force dual on family #10 (n=3, r=3)"

@@ -825,6 +825,44 @@ def test_cm_witness_is_least_by_labels_not_first_by_mask():
         assert _reference_cm(three_tetrahedra, field) == (False, ((3, 8), 0, 1))
 
 
+C4_LOW_CORNER = [((1, 1), (2, 1)), ((1, 1), (2, 2)), ((1, 2), (2, 1)), ((1, 2), (2, 2))]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_cone_points_leave_the_face_walk_and_its_witness(n):
+    # C4 on X[1..2,1..2] and every other vertex of the r = 4 grid isolated:
+    # Ind(G) is a cone over Ind(C4) with 4n - 4 apexes, and its least
+    # witness is the face of all of them, as the whole walk found it
+    isolated = tuple(
+        (a, i) for a in range(1, 5) for i in range(1, n + 1) if a > 2 or i > 2
+    )
+    cone = independence_complex(graph_of_edges(4, n, C4_LOW_CORNER))
+    assert len(isolated) == 4 * n - 4
+    if n == 3:
+        assert isolated == ((1, 3), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3))
+    for field in (GF2, gfp(3), RATIONAL):
+        # the walk lists the 7 faces of Ind(C4), not the 2^(4n - 3) of the cone
+        cert = _cm_by_faces(cone, field, face_budget=7)
+        assert (cert.verdict, cert.witness) == (False, (isolated, 0, 1))
+        assert is_cohen_macaulay(cone, field).witness == (isolated, 0, 1)
+
+
+def test_a_cone_takes_its_witness_by_the_labels_of_the_whole_complex():
+    # three_tetrahedra has the witnesses {3, 8} and {6, 7}; a cone over it
+    # whose apex is labelled 0 and sits between the vertices 3 and 4 makes
+    # them (3, 0, 8) and (0, 6, 7), so the least witness changes
+    cone = make_complex(
+        (1, 2, 3, 0, 4, 5, 6, 7, 8),
+        [
+            sum(1 << k for k in range(9) if (1, 2, 3, 0, 4, 5, 6, 7, 8)[k] in face)
+            for face in ((2, 5, 6, 7, 0), (1, 3, 4, 8, 0), (3, 6, 7, 8, 0))
+        ],
+    )
+    for field in (GF2, gfp(3), RATIONAL):
+        assert _cm_by_faces(cone, field).witness == ((0, 6, 7), 0, 1)
+        assert _reference_cm(cone, field) == (False, ((0, 6, 7), 0, 1))
+
+
 def _reference_cm(complex_, field):
     """Verdict and minimal witness from the public link() of every face."""
     nv = len(complex_.vertices)

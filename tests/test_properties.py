@@ -1,17 +1,18 @@
 """Generated-family properties: the three dual routes agree, both chain
 orders extend componentwise inclusion, and the facets of the family graph's
 independence complex are the complements of the chain-monomial supports.
-The mask-keyed generator sort, the byte-table order-ideal test, the
-transposed down-sets and chain below-masks, and the cover-walk random
-extension agree with their plain definitions.
+The mask-keyed generator sort (past byte boundaries), the byte-table
+order-ideal test, the transposed down-sets and chain below-masks, and the
+cover-walk random extension agree with their plain definitions.
 Generated-ideal and generated-complex properties: the double dual is the
-identity, the CM verdict does not depend on vertex order, the
-Bron-Kerbosch facets of quadratic ideals and r-partite graphs are the
-complements of Berge's minimal transversals, the graph walk and the face
-walk give r-partite graphs one CM verdict and witness, so do the graph an
-independence complex records and the one derived from its facets, and an
-r-partite graph that a plain decomposition by dominated vertices
-certifies pure is CM by both, of that facet size.
+identity, the CM verdict does not depend on vertex order, a cone over a
+complex without cone points has its verdict and its witness plus the
+apexes, the Bron-Kerbosch facets of quadratic ideals and r-partite graphs
+are the complements of Berge's minimal transversals, the graph walk and
+the face walk give r-partite graphs one CM verdict and witness, so do the
+graph an independence complex records and the one derived from its
+facets, and an r-partite graph that a plain decomposition by dominated
+vertices certifies pure is CM by both, of that facet size.
 Generated documents: no mutated family or graph file makes a CLI verb
 raise; each exits 0, 1 or 2 with a coded error."""
 
@@ -25,7 +26,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from conftest import below, make_complex  # noqa: E402
@@ -155,6 +156,45 @@ def test_cm_verdict_does_not_depend_on_vertex_order(pair):
     assert sorted(map(sorted, cx.facet_sets())) == sorted(map(sorted, moved.facet_sets()))
     for field in (GF2, RATIONAL):
         assert is_cohen_macaulay(cx, field).verdict == is_cohen_macaulay(moved, field).verdict
+
+
+@st.composite
+def cones(draw):
+    """A complex D' on up to 7 vertices whose facets share no vertex, and
+    the cone Z * D' over up to 3 apexes placed among D''s vertices; labels
+    run in vertex order in both."""
+    nv = draw(st.integers(1, 7))
+    facets = draw(st.lists(st.integers(0, (1 << nv) - 1), min_size=1, max_size=6))
+    base = make_complex(tuple(range(nv)), facets)
+    apex_count = draw(st.integers(1, 3))
+    total = nv + apex_count
+    apexes = draw(st.sets(st.integers(0, total - 1), min_size=apex_count, max_size=apex_count))
+    keep = [k for k in range(total) if k not in apexes]  # D''s bit k is bit keep[k]
+    z = sum(1 << k for k in apexes)
+    cone = make_complex(
+        tuple(range(total)),
+        [z | sum(1 << keep[k] for k in range(nv) if f >> k & 1) for f in base.facets],
+    )
+    return base, cone, keep, tuple(sorted(apexes))
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(cones())
+def test_a_cone_has_the_verdict_and_witness_of_its_base(case):
+    base, cone, keep, apexes = case
+    apex = base.facets[0]
+    for f in base.facets:
+        apex &= f
+    assume(apex == 0)
+    for field in (GF2, RATIONAL):
+        want = _cm_by_faces(base, field)
+        got = _cm_by_faces(cone, field)
+        assert got.verdict == want.verdict
+        if want.verdict:
+            assert got.witness is None
+        else:
+            face, d, h = want.witness
+            assert got.witness == (tuple(sorted({keep[v] for v in face} | set(apexes))), d, h)
 
 
 def _berge_facets(masks, size: int) -> set[int]:
@@ -297,17 +337,31 @@ def test_certified_graphs_are_cm_by_both_walks(graph):
 
 @st.composite
 def generator_lists(draw):
-    """Monomials of one ring, up to 4 x 6 = 24 slots, repeats allowed."""
-    r = draw(st.integers(1, 4))
-    n = draw(st.integers(1, 6))
-    masks = st.integers(0, (1 << r * n) - 1)
+    """Monomials of one ring, up to 5 x 13 = 65 slots, repeats allowed; the
+    sparse masks share degrees across byte boundaries."""
+    r = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 13))
+    slots = st.integers(0, r * n - 1)
+    sparse = st.sets(slots, max_size=3).map(lambda s: sum(1 << k for k in s))
+    masks = st.integers(0, (1 << r * n) - 1) | sparse
     return [Monomial(r, n, m) for m in draw(st.lists(masks, max_size=12))]
+
+
+def _at_width(r, n, *masks):
+    return [Monomial(r, n, m) for m in masks]
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(generator_lists())
 @example([])
 @example([Monomial(3, 5, 0b100000000000001), Monomial(3, 5, 0b000000000000011)])
+# widths 8, 9, 16, 64 and 65: supports that first differ on either side of
+# a byte boundary, all-zero and all-one bytes, and repeated masks
+@example(_at_width(2, 4, 0b10000001, 0b00000011, 0b11000000, 0b10000001, 0, 0xFF))
+@example(_at_width(3, 3, 1 << 8 | 1, 0b11, 1 << 8 | 1 << 7, 1 << 8, 1 << 7, 1 << 8 | 1))
+@example(_at_width(2, 8, 1 << 8 | 1, 1 << 7 | 1, 0xFF00, 0x00FF, 1 << 15, 1, 0xFF00))
+@example(_at_width(4, 16, 1 << 63, 1 << 56, 1 << 55, 1 << 63 | 1, 0b11, 1 << 63, 2**64 - 1))
+@example(_at_width(5, 13, 1 << 64, 1 << 63, 1 << 64 | 1, 0b11, 1 << 64, 0, 1 << 64 | 1 << 56))
 def test_sort_gens_is_the_degree_then_variables_order(gens):
     want = sorted(gens, key=lambda g: (g.degree(), g.variables()))
     assert sort_gens(g.mask for g in gens) == tuple(g.mask for g in want)
