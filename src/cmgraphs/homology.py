@@ -561,6 +561,14 @@ def _pure_certificate(cx: SimplicialComplex, field: FieldChoice) -> CMCertificat
     return CMCertificate(True, field)
 
 
+def _cone_points(facets) -> int:
+    """The mask of the vertices every facet holds: nonzero exactly for a cone."""
+    apex = facets[0]
+    for f in facets:
+        apex &= f
+    return apex
+
+
 def _cm_by_faces(
     cx: SimplicialComplex,
     field: FieldChoice = GF2,
@@ -595,27 +603,21 @@ def _cm_by_faces(
     Cone points are taken off first.  With Z the vertices every facet holds,
     a face F that misses some z in Z has a link whose facets all hold z, a
     cone, so only faces holding Z can be witnesses, and lk(F' + Z) is the
-    link of F' in lk(Z).  The walk therefore runs on lk(Z), which has no
-    cone point, and its witnesses of the first failing size come back as
+    link of F' in lk(Z).  The walk therefore runs on lk(Z) (the complex
+    itself when Z is empty), which has no cone point, and its witnesses of the first failing size come back as
     F' + Z; the least by (size, labels, dimension) on the complex itself is
     taken again, since adding Z's labels can change the order of the labels.
     So the faces walked do not double with each cone point.
     """
     if cx.is_void():
         raise ValueError("the void complex has no Cohen-Macaulay verdict")
-    apex = cx.facets[0]
-    for f in cx.facets:
-        apex &= f
-    if apex:
-        base = link(cx, apex)
-        # bit k of a face of lk(Z) is the complex's vertex keep[k]
-        keep = [k for k in range(len(cx.vertices)) if not apex >> k & 1]
-        witnesses = [
-            (_remap_bits(face_mask, keep) | apex, d, h)
-            for face_mask, d, h in _face_walk_witnesses(base, field, face_budget)
-        ]
-    else:
-        witnesses = _face_walk_witnesses(cx, field, face_budget)
+    apex = _cone_points(cx.facets)
+    # bit k of a face of lk(Z) is the complex's vertex keep[k]
+    keep = [k for k in range(len(cx.vertices)) if not apex >> k & 1]
+    witnesses = [
+        (_remap_bits(face_mask, keep) | apex, d, h)
+        for face_mask, d, h in _face_walk_witnesses(link(cx, apex), field, face_budget)
+    ]
     if witnesses:
         face_mask, d, h = min(
             witnesses,
@@ -660,10 +662,7 @@ def _face_walk_witnesses(
                     ]
                 found = ()
                 if link_dim > 0:
-                    apex = link_facets[0]
-                    for f in link_facets:
-                        apex &= f
-                    if not apex:
+                    if not _cone_points(link_facets):
                         found = tuple(
                             (d, h)
                             for d, h in _homology_of_faces(faces, field).ranks

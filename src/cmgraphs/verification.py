@@ -453,8 +453,9 @@ def criterion_8_structural_identities(families, ideals) -> tuple[bool, str]:
 
     The families are not read here: the edge ideal of each family's graph
     is compared with its dual in criterion 3, next to the quadratic rule,
-    against one brute-force dual.  The parameter keeps the criteria's
-    calling convention.
+    against one brute-force dual.  The unused parameter stays only because
+    perfbench/workloads.py calls this function with two arguments; it goes
+    when the benchmark next changes (ROADMAP item 4).
     """
     problems = []
     g = graph_of_family(sample_family())
