@@ -604,10 +604,11 @@ def _cm_by_faces(
     a face F that misses some z in Z has a link whose facets all hold z, a
     cone, so only faces holding Z can be witnesses, and lk(F' + Z) is the
     link of F' in lk(Z).  The walk therefore runs on lk(Z) (the complex
-    itself when Z is empty), which has no cone point, and its witnesses of the first failing size come back as
-    F' + Z; the least by (size, labels, dimension) on the complex itself is
-    taken again, since adding Z's labels can change the order of the labels.
-    So the faces walked do not double with each cone point.
+    itself when Z is empty), which has no cone point, and its witnesses of
+    the first failing size come back as F' + Z; the least by (size, labels,
+    dimension) on the complex itself is taken again, since adding Z's
+    labels can change the order of the labels.  So the faces walked do not
+    double with each cone point.
     """
     if cx.is_void():
         raise ValueError("the void complex has no Cohen-Macaulay verdict")
